@@ -82,8 +82,8 @@ AcrConfig sweep_acr(const std::string& mode, const std::string& scheme,
                     double checkpoint_interval) {
   AcrConfig ac;
   ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy =
-      scheme == "xor" ? ckpt::Scheme::Xor : ckpt::Scheme::Partner;
+  ac.redundancy = scheme == "xor" ? ckpt::Scheme::Rs : ckpt::Scheme::Partner;
+  ac.rs_parity = 1;  // xor is rs(1); ignored under partner
   ac.checkpoint_interval = checkpoint_interval;
   ac.heartbeat_period = 0.0004;
   ac.heartbeat_timeout = 0.0016;

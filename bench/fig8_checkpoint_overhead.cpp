@@ -4,9 +4,10 @@
 // method, from 1K to 64K cores per replica (256 - 16384 BG/P nodes).
 //
 // Extended with a simulator-backed sweep of the checkpoint redundancy
-// schemes (src/ckpt): local / partner / xor, fault-free and under a hard
-// failure storm, reporting run time, redundancy traffic, and how each run
-// recovered (group rebuilds vs scratch restarts).
+// schemes (src/ckpt): local / partner / xor (rs with one parity block per
+// stripe), fault-free and under a hard failure storm, reporting run time,
+// redundancy traffic, and how each run recovered (group rebuilds vs
+// scratch restarts).
 #include <cstdio>
 #include <vector>
 
@@ -29,9 +30,14 @@ void redundancy_scheme_sweep() {
   TablePrinter table({"scheme", "faults", "status", "time", "ckpts",
                       "failures", "recoveries", "parity MB", "rebuilds",
                       "scratch"});
+  struct Row {
+    const char* label;
+    ckpt::Scheme scheme;
+  };
   for (double mtbf : {0.0, 0.03}) {
-    for (ckpt::Scheme scheme :
-         {ckpt::Scheme::Local, ckpt::Scheme::Partner, ckpt::Scheme::Xor}) {
+    for (Row row : {Row{"local", ckpt::Scheme::Local},
+                    Row{"partner", ckpt::Scheme::Partner},
+                    Row{"xor", ckpt::Scheme::Rs}}) {
       apps::Jacobi3DConfig j;
       j.tasks_x = j.tasks_y = 2;
       j.tasks_z = 4;
@@ -41,8 +47,9 @@ void redundancy_scheme_sweep() {
       j.seconds_per_point = 1e-5;
       AcrConfig ac;
       ac.scheme = ResilienceScheme::Strong;
-      ac.redundancy = scheme;
+      ac.redundancy = row.scheme;
       ac.xor_group_size = 4;
+      ac.rs_parity = 1;
       ac.checkpoint_interval = 0.01;
       ac.heartbeat_period = 0.0004;  // prompt detection, as in the fuzz suite
       ac.heartbeat_timeout = 0.0016;
@@ -63,7 +70,7 @@ void redundancy_scheme_sweep() {
       }
       RunSummary s = runtime.run(60.0);
       table.add_row(
-          {ckpt::scheme_name(scheme), mtbf > 0.0 ? "hard" : "none",
+          {row.label, mtbf > 0.0 ? "hard" : "none",
            s.complete ? "complete" : (s.failed ? "failed" : "wedged"),
            TablePrinter::fmt(s.finish_time, 4), std::to_string(s.checkpoints),
            std::to_string(s.hard_failures), std::to_string(s.recoveries),

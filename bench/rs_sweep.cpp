@@ -22,7 +22,7 @@ namespace {
 struct SweepPoint {
   std::string scheme;  ///< "xor" or "rs(m)"
   int group_size = 0;
-  int parity = 0;  ///< 0 for xor
+  int parity = 0;  ///< 0 for xor (run as rs(1), its alias)
   int kills = 0;   ///< burst severity: dead members of group 0
   RunSummary summary;
   double fault_free_time = 0.0;
@@ -42,9 +42,9 @@ apps::Jacobi3DConfig sweep_app() {
 AcrConfig sweep_acr(int group_size, int parity) {
   AcrConfig ac;
   ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = parity > 0 ? ckpt::Scheme::Rs : ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;
   ac.xor_group_size = group_size;
-  if (parity > 0) ac.rs_parity = parity;
+  ac.rs_parity = parity > 0 ? parity : 1;  // xor is rs(1)
   ac.checkpoint_interval = 0.01;
   ac.heartbeat_period = 0.0004;
   ac.heartbeat_timeout = 0.0016;

@@ -41,16 +41,6 @@ const char* validate_redundancy_config(const AcrConfig& config,
         return "local redundancy cannot serve the medium/weak resilience "
                "schemes (their recovery ships checkpoints cross-replica)";
       return nullptr;
-    case ckpt::Scheme::Xor:
-      if (config.scheme != ResilienceScheme::Strong)
-        return "xor redundancy requires the strong resilience scheme (its "
-               "group rebuild replaces the Fig. 4a buddy transfer)";
-      if (config.xor_group_size < 2)
-        return "xor group size must be at least 2 (a one-node group has no "
-               "parity peers)";
-      if (nodes_per_replica < 2)
-        return "xor redundancy needs at least 2 nodes per replica";
-      return nullptr;
     case ckpt::Scheme::Rs:
       if (config.scheme != ResilienceScheme::Strong)
         return "rs redundancy requires the strong resilience scheme (its "

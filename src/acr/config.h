@@ -37,16 +37,18 @@ struct AcrConfig {
 
   /// Checkpoint-redundancy scheme (ckpt layer). Partner is the paper's
   /// buddy copy; Local keeps no remote copy (hard failures degrade to a
-  /// scratch restart); Xor folds RAID-5-style parity across groups of
-  /// `xor_group_size` nodes within each replica. Xor requires the Strong
-  /// resilience scheme (its rebuild path replaces the buddy transfer of
-  /// Fig. 4a); Local is incompatible with Medium/Weak, whose recovery is
-  /// DEFINED by cross-replica checkpoint shipping. See
+  /// scratch restart); Rs folds Reed–Solomon parity across groups of
+  /// `xor_group_size` nodes within each replica (rs_parity = 1 is RAID-5
+  /// XOR parity, which the driver's --ckpt-scheme=xor selects). Rs
+  /// requires the Strong resilience scheme (its rebuild path replaces the
+  /// buddy transfer of Fig. 4a); Local is incompatible with Medium/Weak,
+  /// whose recovery is DEFINED by cross-replica checkpoint shipping. See
   /// validate_redundancy_config().
   ckpt::Scheme redundancy = ckpt::Scheme::Partner;
-  /// Parity group width under Xor and Rs: >= 2, groups never span
-  /// replicas. A remainder group of one node is merged into the preceding
-  /// group (ckpt::GroupMap).
+  /// Parity group width under Rs: >= 2, groups never span replicas. A
+  /// remainder group of one node is merged into the preceding group
+  /// (ckpt::GroupMap). The name predates rs, which took over xor's groups;
+  /// benchmarks and the --xor-group-size flag still use it.
   int xor_group_size = 4;
   /// Parity blocks per stripe under Rs: any `rs_parity` dead members of a
   /// group are rebuilt bitwise from the survivors (Reed–Solomon over
@@ -87,7 +89,7 @@ struct AcrConfig {
   /// bit-for-bit; Shrink doubles the dead role up onto a surviving node of
   /// the same replica (degraded redundancy) and un-doubles when a repaired
   /// spare returns. Un-doubling is automatic only under the Strong scheme,
-  /// whose buddy/xor recovery restores the relieved role without a
+  /// whose buddy/rs recovery restores the relieved role without a
   /// single-replica recovery checkpoint.
   DegradeMode degrade = DegradeMode::Abort;
 
@@ -107,7 +109,7 @@ struct AcrConfig {
 
   /// Checkpoint codec pipeline (ckpt/codec.h): incremental (dirty-chunk)
   /// delta shipping and/or per-chunk LZ compression of the buddy transfer,
-  /// XOR parity exchange, and L2 flushes. Both stages default OFF, which
+  /// parity exchange, and L2 flushes. Both stages default OFF, which
   /// keeps every data-plane byte identical to the pre-codec protocol.
   ckpt::CodecConfig codec;
 };

@@ -395,7 +395,7 @@ void Manager::maybe_undouble() {
   if (complete_ || failed_ || ckpt_ || recovery_ || weak_recovery_pending_)
     return;
   // Un-doubling rides the standard recovery machinery; only the Strong
-  // scheme's buddy/xor restore re-mans a role without a single-replica
+  // scheme's buddy/rs restore re-mans a role without a single-replica
   // recovery checkpoint, so other schemes keep their doubled roles.
   if (env_.config->scheme != ResilienceScheme::Strong) return;
   if (redundancy() == ckpt::Scheme::Local) return;  // would cost a scratch
@@ -421,9 +421,9 @@ void Manager::start_recovery(int replica, int node_index) {
     restart_from_scratch();
     return;
   }
-  if (redundancy() == ckpt::Scheme::Xor || redundancy() == ckpt::Scheme::Rs) {
-    // Validation pins xor/rs to the strong scheme; the group rebuild
-    // replaces the Fig. 4a buddy transfer.
+  if (redundancy() == ckpt::Scheme::Rs) {
+    // Validation pins rs to the strong scheme; the group rebuild replaces
+    // the Fig. 4a buddy transfer.
     start_group_recovery(replica, node_index);
     return;
   }
@@ -477,19 +477,6 @@ void Manager::start_recovery(int replica, int node_index) {
   }
 }
 
-bool Manager::route_xor_rebuild(int replica, int node_index,
-                                std::uint64_t barrier) {
-  const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-  std::vector<int> peers = env_.cluster->live_group_peers(replica, node_index);
-  if (static_cast<int>(peers.size()) < groups.group_size_of(node_index) - 1)
-    return false;  // another group member is dead: parity cannot cover both
-  wire::XorRebuildCmd cmd{node_index, barrier};
-  for (int p : peers)
-    env_.cluster->send_from_manager(replica, p, wire::kXorRebuildSend,
-                                    rt::pack_payload(cmd));
-  return true;
-}
-
 bool Manager::route_rs_rebuild(int replica, int node_index,
                                std::uint64_t barrier) {
   const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
@@ -514,40 +501,31 @@ bool Manager::route_rs_rebuild(int replica, int node_index,
   return true;
 }
 
-bool Manager::route_group_rebuild(int replica, int node_index,
-                                  std::uint64_t barrier) {
-  return redundancy() == ckpt::Scheme::Rs
-             ? route_rs_rebuild(replica, node_index, barrier)
-             : route_xor_rebuild(replica, node_index, barrier);
-}
-
 void Manager::start_group_recovery(int replica, int node_index) {
   if (verified_epoch_ == 0) {
     restart_from_scratch();
     return;
   }
-  // Under rs a group absorbs up to rs_parity losses in ONE wave: a burst
-  // can drop a second member before its suspect report lands, and routing
-  // around it as if it were a survivor would strand the rebuild. Sweep the
-  // group for dead-but-unreported members and fold them into this wave —
+  // A group absorbs up to rs_parity losses in ONE wave: a burst can drop
+  // a second member before its suspect report lands, and routing around
+  // it as if it were a survivor would strand the rebuild. Sweep the group
+  // for dead-but-unreported members and fold them into this wave —
   // inserting them into dead_roles_ both widens route_rs_rebuild's dead
-  // set and makes handle_suspect_role drop their late reports. Xor keeps
-  // its single-loss budget: a second dead member fails the peer-count
-  // check in route_xor_rebuild and falls down the ladder.
+  // set and makes handle_suspect_role drop their late reports. Losses
+  // beyond the parity budget fail route_rs_rebuild and fall down the
+  // ladder.
   std::vector<int> dead{node_index};
-  if (redundancy() == ckpt::Scheme::Rs) {
-    for (int i : env_.cluster->ckpt_groups().group_members(node_index)) {
-      auto role = std::make_pair(replica, i);
-      if (i == node_index || env_.cluster->role_alive(replica, i) ||
-          dead_roles_.count(role))
-        continue;
-      trace().record(now(), rt::TraceKind::HardFailureDetected, replica, i);
-      dead_roles_.insert(role);
-      ++hard_failures_;
-      if (env_.config->adaptive) adaptive_.on_failure(now());
-      if (!promote_and_install(replica, i)) return;
-      dead.push_back(i);
-    }
+  for (int i : env_.cluster->ckpt_groups().group_members(node_index)) {
+    auto role = std::make_pair(replica, i);
+    if (i == node_index || env_.cluster->role_alive(replica, i) ||
+        dead_roles_.count(role))
+      continue;
+    trace().record(now(), rt::TraceKind::HardFailureDetected, replica, i);
+    dead_roles_.insert(role);
+    ++hard_failures_;
+    if (env_.config->adaptive) adaptive_.on_failure(now());
+    if (!promote_and_install(replica, i)) return;
+    dead.push_back(i);
   }
   env_.cluster->bump_app_epoch(replica);
   done_nodes_[static_cast<std::size_t>(replica)].clear();
@@ -556,7 +534,7 @@ void Manager::start_group_recovery(int replica, int node_index) {
   // else in the crashed replica rolls back locally, exactly as in the
   // partner flow. The rebuild never crosses replicas, so the buddy's
   // liveness is irrelevant here.
-  if (!route_group_rebuild(replica, node_index, barrier)) {
+  if (!route_rs_rebuild(replica, node_index, barrier)) {
     restart_from_scratch();
     return;
   }
@@ -656,16 +634,14 @@ void Manager::escalate_rollback_all() {
       if (!env_.cluster->role_alive(r, i)) dead_roles_.insert({r, i});
   std::vector<std::pair<int, int>> dead(dead_roles_.begin(),
                                         dead_roles_.end());
-  if (redundancy() == ckpt::Scheme::Xor || redundancy() == ckpt::Scheme::Rs) {
+  if (redundancy() == ckpt::Scheme::Rs) {
     // The rebuild is intra-replica: a buddy-pair loss is survivable, but a
-    // group can only lose as many members as it has parity blocks — one
-    // under xor (single-parity RAID-5), rs_parity under rs.
+    // group can only lose as many members as it has parity blocks.
     const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-    int budget = redundancy() == ckpt::Scheme::Rs ? env_.config->rs_parity : 1;
     std::map<std::pair<int, int>, int> dead_per_group;
     for (const auto& [r, i] : dead) ++dead_per_group[{r, groups.group_of(i)}];
     for (const auto& [group, count] : dead_per_group) {
-      if (count > budget) {
+      if (count > env_.config->rs_parity) {
         restart_from_scratch();
         return;
       }
@@ -721,12 +697,7 @@ void Manager::escalate_rollback_all() {
           std::find(dead.begin(), dead.end(), std::make_pair(r, i)) !=
           dead.end();
       if (was_dead) {
-        if (redundancy() == ckpt::Scheme::Xor) {
-          // Group survivors feed the spare; the per-group dead count check
-          // above guarantees they are all genuinely alive.
-          bool routed = route_xor_rebuild(r, i, barrier_id);
-          ACR_REQUIRE(routed, "xor escalation with an unrebuildable group");
-        } else if (redundancy() == ckpt::Scheme::Rs) {
+        if (redundancy() == ckpt::Scheme::Rs) {
           const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
           if (rs_routed_groups.insert({r, groups.group_of(i)}).second) {
             bool routed = route_rs_rebuild(r, i, barrier_id);
@@ -1010,7 +981,7 @@ void Manager::on_message(const rt::Message& m) {
     case wire::kNeedBuddyRestore: {
       // A checkpoint-less node was told to roll back: route a recovery
       // image to it under the same barrier — the buddy's verified copy
-      // under partner, a group rebuild under xor. Local has no remote copy
+      // under partner, a group rebuild under rs. Local has no remote copy
       // to route, so the wave degrades to a scratch restart.
       auto need = rt::unpack_payload<wire::BarrierMsg>(m);
       if (!recovery_ || need.barrier != recovery_->barrier) return;
@@ -1022,10 +993,9 @@ void Manager::on_message(const rt::Message& m) {
                 wire::kSendVerifiedToBuddy, rt::pack_payload(need));
           }
           return;
-        case ckpt::Scheme::Xor:
         case ckpt::Scheme::Rs:
-          if (!route_group_rebuild(m.src_replica, m.src.node_index,
-                                   need.barrier)) {
+          if (!route_rs_rebuild(m.src_replica, m.src.node_index,
+                                need.barrier)) {
             recovery_.reset();
             restart_from_scratch();
           }
@@ -1037,7 +1007,6 @@ void Manager::on_message(const rt::Message& m) {
       }
       return;
     }
-    case wire::kXorRebuildImpossible:
     case wire::kRsRebuildImpossible: {
       // A survivor (or the spare itself) found the rebuild unservable —
       // parity exchange raced the failure, or pieces were inconsistent, or

@@ -7,11 +7,11 @@
 //    of the replica's logical node indices;
 //  * the double in-memory checkpoint store (ckpt::Store: verified +
 //    candidate epochs) and the pluggable redundancy scheme protecting it
-//    (ckpt::RedundancyScheme: local / partner / xor group parity);
+//    (ckpt::RedundancyScheme: local / partner / rs group parity);
 //  * SDC detection — shipping the checkpoint (or its Fletcher-64 digest) to
 //    the buddy node in the other replica and comparing (§2.1, §4.1–4.2);
 //  * buddy heartbeating and no-response failure detection (§6.1);
-//  * restore paths for rollback, buddy-assisted spare recovery, XOR group
+//  * restore paths for rollback, buddy-assisted spare recovery, parity group
 //    rebuild, and the forward-jump restores of the medium/weak schemes.
 //
 // Reductions travel agent-to-agent with modelled latency; control
@@ -196,8 +196,6 @@ class NodeAgent final : public rt::NodeService {
 
   // Redundancy scheme plumbing.
   void make_scheme();
-  /// The scheme as XorScheme, or nullptr under any other scheme.
-  ckpt::XorScheme* xor_scheme();
   /// The scheme as RsScheme, or nullptr under any other scheme.
   ckpt::RsScheme* rs_scheme();
 
@@ -289,7 +287,7 @@ class NodeAgent final : public rt::NodeService {
     buf::Buffer image;
     std::vector<std::uint32_t> digests;  ///< kDigestChunk-grid CRC32Cs
   };
-  /// This node's last committed image (delta base for buddy/xor sends).
+  /// This node's last committed image (delta base for buddy/parity sends).
   CodecBase codec_base_;
   /// Cached copy of the BUDDY's committed image (replica-1 compare side):
   /// what incoming delta frames are overlaid on.
@@ -305,8 +303,8 @@ class NodeAgent final : public rt::NodeService {
   std::uint64_t l2_base_epoch_ = 0;
   std::vector<std::uint32_t> l2_base_digests_;
   std::uint64_t l2_base_bytes_ = 0;
-  /// The next XOR parity exchange must ship full chunks (post-restore).
-  bool xor_force_full_ = false;
+  /// The next parity exchange must ship full chunks (post-restore).
+  bool parity_force_full_ = false;
   CodecStats codec_stats_;
 
   // Heartbeat state. Each node watches its buddy (cross-replica, §2.1) and

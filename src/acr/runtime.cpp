@@ -8,12 +8,11 @@
 namespace acr {
 
 namespace {
-/// The cluster's checkpoint-group map exists exactly when a group-parity
-/// scheme (xor/rs) needs it; other schemes leave grouping disabled.
+/// The cluster's checkpoint-group map exists exactly when the group-parity
+/// scheme (rs) needs it; other schemes leave grouping disabled.
 rt::ClusterConfig with_ckpt_groups(rt::ClusterConfig c,
                                    const AcrConfig& acr) {
-  c.ckpt_group_size = acr.redundancy == ckpt::Scheme::Xor ||
-                              acr.redundancy == ckpt::Scheme::Rs
+  c.ckpt_group_size = acr.redundancy == ckpt::Scheme::Rs
                           ? acr.xor_group_size
                           : 0;
   // The durable tier's cost model lives in the cluster (per-node busy-until

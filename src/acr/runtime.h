@@ -64,14 +64,16 @@ struct RunSummary {
   std::uint64_t net_stale_epoch_drops = 0;  ///< app msgs from stale epochs
   std::uint64_t net_link_failures = 0;      ///< retry budgets exhausted
   // Checkpoint redundancy (ckpt::RedundancyScheme). The parity counters
-  // stay zero except under the xor/rs schemes; they aggregate over the
+  // stay zero except under the rs scheme; they aggregate over the
   // agents alive at completion. Encode-side (steady-state parity exchange)
   // and rebuild-side (recovery waves) wire traffic are kept separate so
   // sweeps can report each scheme's cost structure accurately.
   const char* ckpt_scheme = "partner";
   std::uint64_t parity_chunks_sent = 0;  ///< encode: group parity chunks
   std::uint64_t parity_bytes_sent = 0;   ///< encode: bytes of those chunks
-  std::uint64_t xor_rebuilds = 0;        ///< images rebuilt from parity
+  /// Images rebuilt from group parity (rs, and so --ckpt-scheme=xor).
+  /// The name predates rs; benchmarks and tools read it as is.
+  std::uint64_t xor_rebuilds = 0;
   std::uint64_t parity_rebuild_pieces = 0;  ///< rebuild: pieces shipped
   std::uint64_t parity_rebuild_bytes = 0;   ///< rebuild: image+parity bytes
   std::uint64_t parity_rebuilds_rejected = 0;  ///< rebuilds failing the CRC
@@ -95,7 +97,7 @@ struct RunSummary {
   std::uint64_t l2_newest_durable = 0; ///< newest fully-flushed epoch
   // Codec pipeline (all zero unless --ckpt-delta/--ckpt-compress is on).
   // The frame counters cover the buddy transfer; the parity-delta ones the
-  // XOR exchange; l2_delta_blobs the durable tier.
+  // parity exchange; l2_delta_blobs the durable tier.
   std::uint64_t codec_frames = 0;        ///< codec frames shipped to buddies
   std::uint64_t codec_full_frames = 0;   ///< frames carrying every chunk
   std::uint64_t codec_chunks_total = 0;  ///< chunks covered by those frames
@@ -103,9 +105,9 @@ struct RunSummary {
   std::uint64_t codec_raw_bytes = 0;     ///< image bytes the frames stand for
   std::uint64_t codec_wire_bytes = 0;    ///< map+payload bytes on the wire
   std::uint64_t codec_need_full = 0;     ///< receiver-forced full fallbacks
-  std::uint64_t parity_delta_chunks = 0;   ///< xor delta contributions sent
-  std::uint64_t parity_delta_bytes = 0;    ///< xor diff payload bytes
-  std::uint64_t parity_rounds_poisoned = 0;  ///< xor delta rounds abandoned
+  std::uint64_t parity_delta_chunks = 0;   ///< parity delta contributions sent
+  std::uint64_t parity_delta_bytes = 0;    ///< parity diff payload bytes
+  std::uint64_t parity_rounds_poisoned = 0;  ///< parity delta rounds abandoned
   std::uint64_t l2_delta_blobs = 0;      ///< v2 delta blobs published to L2
 };
 

@@ -21,7 +21,7 @@
 //                 the same parallel traversal); a chunk that does not
 //                 shrink is stored raw, flagged per chunk.
 //   redundancy-   the schemes: partner ships the CodecFrame instead of the
-//   encode        image, xor folds diff ranges into parity, the L2 tier
+//   encode        image, rs folds diff ranges into parity, the L2 tier
 //                 stores the frame as a vault v2 delta blob.
 //
 // Determinism: chunk geometry depends only on the image SIZE, the LZ stage

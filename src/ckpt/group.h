@@ -1,12 +1,12 @@
-// Parity-group membership for the XOR redundancy scheme.
+// Parity-group membership for the rs redundancy scheme (ckpt/rs.h).
 //
 // Node indices of a replica are partitioned into consecutive groups of
 // `group_size`. A trailing remainder group is kept as its own (smaller)
 // group, except that a remainder of ONE would leave a node with no parity
-// peers — XOR over a single member protects nothing — so a size-1 tail is
+// peers — parity over a single member protects nothing — so a size-1 tail is
 // merged into the preceding group (its last group is group_size + 1 wide).
 // Groups never span replicas: parity exchange stays on the cheap
-// intra-replica links, and each replica can lose one node per group.
+// intra-replica links, and each replica can lose rs_parity nodes per group.
 #pragma once
 
 #include <vector>

@@ -14,12 +14,17 @@ namespace acr::ckpt {
 namespace rs_layout {
 
 std::uint8_t coeff(int m, int q, int r) {
-  // Cauchy element 1 / (x_q + y_r) with x_q = q (q < m) and y_r = m + r.
-  // The label sets are disjoint, so the denominator is never zero and
-  // every square submatrix of the coefficient matrix is invertible.
+  // Cauchy element 1 / (x_q + y_r) with x_q = q (q < m) and y_r = m + r,
+  // scaled by y_r. The label sets are disjoint, so the denominator is
+  // never zero and every square submatrix of the Cauchy matrix is
+  // invertible; scaling column r by the nonzero y_r multiplies each
+  // minor's determinant by nonzero factors, so that property survives.
+  // Row 0 becomes y_r / y_r = 1: the first parity block of every stripe
+  // is the plain XOR fold (rs(1) is exactly RAID-5 parity).
   auto x = static_cast<std::uint8_t>(q);
   auto y = static_cast<std::uint8_t>(m + r);
-  return checksum::gf256::inv(static_cast<std::uint8_t>(x ^ y));
+  return checksum::gf256::mul(
+      y, checksum::gf256::inv(static_cast<std::uint8_t>(x ^ y)));
 }
 
 }  // namespace rs_layout
@@ -82,12 +87,13 @@ RsScheme::PendingRound& RsScheme::round_for(const std::uint64_t epoch) {
   return b;
 }
 
-void RsScheme::on_verified(const Image& img) { on_verified(img, nullptr); }
-
 void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
   ACR_REQUIRE(img.valid, "parity exchange needs a valid image");
-  // Same delta preconditions and full-round cadence as the XOR scheme —
-  // the codec pipeline feeds both identically.
+  // Delta exchange is possible only when every precondition holds; any
+  // miss falls back to the full exchange (never a correctness dependency).
+  // Cadence: epochs 1, 1+k, 1+2k... always go full, so a holder that lost
+  // its parity history (promoted spare, shrink remap) re-converges within
+  // k commits instead of poisoning rounds forever.
   bool delta = hints != nullptr && hints->codec != nullptr &&
                hints->codec->delta_on() && !hints->force_full &&
                hints->base_epoch != 0 && hints->base_epoch < img.epoch &&
@@ -95,7 +101,7 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
                hints->base_image->size() == img.image.size() &&
                hints->digests != nullptr && hints->base_digests != nullptr &&
                hints->digests->size() == hints->base_digests->size() &&
-               img.epoch % kXorDeltaFullCadence != 1;
+               img.epoch % kParityDeltaFullCadence != 1;
   std::uint32_t digest = checksum::crc32c_chunked(img.image.bytes());
   if (!delta) {
     // Chunk t feeds stripe (me + 1 + t) mod n; each of that stripe's m

@@ -1,11 +1,12 @@
 // Reed–Solomon erasure-coded checkpoint redundancy: survive any m losses
 // per group.
 //
-// XOR parity (redundancy.h) tops out at one loss per group; correlated
-// bursts routinely kill 2+ nodes in one blade and force the slow fallback
-// ladder. Rs(k, m) generalises the same rotated-stripe idea to m parity
-// blocks per stripe over GF(256) (gf256.h), so ANY f <= m dead members of
-// an n-node group are rebuilt bitwise from the n - f survivors.
+// Rs(k, m) spreads each member's verified image over the OTHER members of
+// its n-node group (same replica) as m parity blocks per stripe over
+// GF(256) (gf256.h), so ANY f <= m dead members of the group are rebuilt
+// bitwise from the n - f survivors — intra-replica, so a buddy-PAIR loss
+// (fatal under Partner) is survivable. m = 1 is RAID-5 XOR parity, bit for
+// bit: --ckpt-scheme=xor is rs(1).
 //
 // Stripe layout (n = group size, m = parity count, k = n - m data chunks
 // per member; all arithmetic mod n):
@@ -15,12 +16,16 @@
 //     other member r contributes its data chunk t = (s - r - 1) mod n.
 //   - Equivalently: member r's image splits into k chunks of length
 //     ceil(size_r / k); chunk t goes to stripe s = (r + 1 + t) mod n.
-//     For m = 1 this is exactly the XOR scheme's RAID-5 rotation.
+//     For m = 1 this is the classic RAID-5 rotation: no node holds parity
+//     over its own bytes, and dead member j's chunk t is held by member
+//     (t + j + 1) mod n, never j itself.
 //   - Parity slot q of stripe s (held by p = (s + q) mod n) stores
 //         P_q(s) = XOR-sum over data members r of  C[q][r] * chunk_r(s)
-//     with Cauchy coefficients C[q][r] = 1 / (q XOR (m + r)) in GF(256)
-//     (row labels 0..m-1, column labels m..m+n-1: disjoint, so every
-//     square submatrix of C is invertible). Needs n + m <= 256.
+//     (shorter chunks zero-extended) with scaled Cauchy coefficients
+//     C[q][r] = y_r / (q XOR y_r), y_r = m + r, in GF(256) (row labels
+//     0..m-1, column labels m..m+n-1: disjoint, so every square submatrix
+//     of C is invertible). Row 0 is all ones, so P_0 is the plain XOR fold
+//     and rs(1) parity equals RAID-5 parity. Needs n + m <= 256.
 //
 // Survivability (the multi-loss argument; proof sketch in DESIGN.md §17):
 // with f <= m dead members, a stripe s has u dead DATA members and hence
@@ -28,24 +33,29 @@
 // equations — and any u x u Cauchy submatrix is invertible, so Gaussian
 // elimination recovers all u missing chunks of every stripe.
 //
-// The rebuild wave mirrors XOR's, generalised to multi-loss: the manager
-// sends ONE RsRebuildCmd per group naming the whole dead set; every
-// survivor ships one piece (its verified image + its m parity blocks +
-// the recorded member sizes/digests) to EACH promoted spare; each spare
-// independently runs the per-stripe Gaussian solve over gf256_muladd_row
-// and restores only its own image, CRC-verified before promotion.
+// The rebuild wave: the manager sends ONE RsRebuildCmd per group naming
+// the whole dead set; every survivor ships one piece (its verified image +
+// its m parity blocks + the recorded member sizes/digests) to EACH
+// promoted spare; each spare independently runs the per-stripe Gaussian
+// solve over gf256_muladd_row and restores only its own image,
+// CRC-verified before promotion.
 //
-// Like the XOR scheme this layer is runtime-agnostic: pup-able message
-// structs + Hooks callbacks; the NodeAgent owns tags and routing.
+// This layer is runtime-agnostic: pup-able message structs + Hooks
+// callbacks; the NodeAgent owns tags and routing.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "buf/buffer.h"
+#include "ckpt/group.h"
 #include "ckpt/redundancy.h"
+#include "pup/pup.h"
+#include "pup/stl.h"
 
 namespace acr::ckpt {
 
@@ -99,11 +109,15 @@ struct RsChunkMsg {
   }
 };
 
-/// Delta variant (codec pipeline): the XOR difference new^base of the
-/// dirty sub-ranges of the sender's chunk. GF(256) multiplication
-/// distributes over XOR, so the holder advances its seeded parity with
-/// parity ^= C * diff over exactly these ranges. Same poisoning rules as
-/// the XOR delta path.
+/// Delta variant (codec pipeline, --ckpt-delta=on): the XOR difference
+/// new^base of the dirty sub-ranges of the sender's chunk. GF(256)
+/// multiplication distributes over XOR, so the holder seeds this epoch's
+/// parity from its complete base-epoch parity and advances it with
+/// parity ^= C * diff over exactly these ranges. Valid only when EVERY
+/// member of the round diffs against the holder's complete epoch — a mixed
+/// or unseedable round is poisoned and simply does not complete (the group
+/// stays protected at the base epoch until the next full exchange; see
+/// kParityDeltaFullCadence).
 struct RsDeltaChunkMsg {
   std::uint64_t epoch = 0;
   std::uint64_t iteration = 0;
@@ -183,7 +197,6 @@ class RsScheme final : public RedundancyScheme {
   RsScheme(const GroupMap& groups, int node_index, int parity, Hooks hooks);
 
   Scheme kind() const override { return Scheme::Rs; }
-  void on_verified(const Image& img) override;
   void on_verified(const Image& img, const DeltaHints* hints) override;
   void reset() override;
   std::size_t redundancy_bytes() const override;

@@ -126,7 +126,7 @@ struct ClusterConfig {
   /// Reliable-delivery tuning (retry budget, timeouts, window).
   net::ReliableConfig reliable;
 
-  /// Checkpoint parity-group width (ckpt layer, XOR scheme): consecutive
+  /// Checkpoint parity-group width (ckpt layer, rs scheme): consecutive
   /// node indices of each replica form groups of this size for parity
   /// exchange and rebuild routing. <= 0 disables grouping (local/partner
   /// schemes need none).
@@ -195,9 +195,6 @@ class Cluster {
   /// Checkpoint parity-group membership (per replica; groups never span
   /// replicas). Empty/disabled unless ckpt_group_size was configured.
   const ckpt::GroupMap& ckpt_groups() const { return ckpt_groups_; }
-  /// Members of (replica, node_index)'s parity group that are currently
-  /// alive, excluding node_index itself.
-  std::vector<int> live_group_peers(int replica, int node_index);
 
   // --- messaging ---------------------------------------------------------------
   /// Task-to-task within a replica. The payload Buffer is shared, not

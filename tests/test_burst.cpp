@@ -404,7 +404,8 @@ TEST(Degradation, SimultaneousBuddyPairLossFallsBackToScratch) {
 /// single-parity coverage, must degrade to scratch, not wedge.
 TEST(Degradation, SimultaneousGroupDoubleLossFallsBackToScratch) {
   AcrConfig ac = burst_acr_config();
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;  // --ckpt-scheme=xor
+  ac.rs_parity = 1;
   ac.xor_group_size = 4;
   Sim sim(ac, 4, 32);
   double mid = reference().finish_time * 0.5;
@@ -448,7 +449,8 @@ TEST(Degradation, SecondFailureMidRecoveryIsSerialized) {
 /// Same, under xor redundancy with the second death mid-group-rebuild.
 TEST(Degradation, SecondFailureMidXorRebuildIsSerialized) {
   AcrConfig ac = burst_acr_config();
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;  // --ckpt-scheme=xor
+  ac.rs_parity = 1;
   ac.xor_group_size = 4;
   Sim sim(ac, 6, 34);
   double mid = reference().finish_time * 0.5;

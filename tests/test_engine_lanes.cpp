@@ -296,7 +296,8 @@ ScenarioResult run_xor_burst(int lanes) {
   j.seconds_per_point = 1e-5;
   AcrConfig ac;
   ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;  // --ckpt-scheme=xor
+  ac.rs_parity = 1;
   ac.xor_group_size = 4;
   ac.degrade = DegradeMode::Shrink;
   ac.checkpoint_interval = 0.003;

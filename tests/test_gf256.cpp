@@ -258,16 +258,13 @@ TEST(Gf256Layout, EveryStripeHasExactlyMParityHoldersAndKDataMembers) {
 }
 
 TEST(Gf256Layout, SingleParityCoefficientsAreInvertibleScalars) {
-  // m = 1 keeps the XOR scheme's rotated-stripe LAYOUT but weights rank r
-  // by the Cauchy scalar 1/(1+r) — any single coefficient must be a
-  // nonzero (hence invertible) field element so one equation always
-  // solves one unknown.
-  for (int r = 0; r < 16; ++r) {
-    std::uint8_t c = rsl::coeff(1, 0, r);
-    ASSERT_NE(c, 0) << "r=" << r;
-    EXPECT_EQ(gf::mul(c, static_cast<std::uint8_t>(1 + r)), 1)
-        << "coeff(1,0," << r << ") != 1/(1+r)";
-  }
+  // Column r of the Cauchy matrix is scaled by its label m + r, which makes
+  // parity row 0 all ones for every m: slot 0 is the plain XOR fold (so
+  // rs(1) IS RAID-5 parity), and 1 is trivially invertible, so one
+  // equation always solves one unknown.
+  for (int m = 1; m <= 4; ++m)
+    for (int r = 0; r < 16; ++r)
+      EXPECT_EQ(rsl::coeff(m, 0, r), 1) << "coeff(" << m << ",0," << r << ")";
 }
 
 TEST(Gf256Layout, CauchyCoefficientsAreNonZeroAndPairwiseSolvable) {

@@ -1,7 +1,8 @@
 // RsScheme unit tests: the multi-parity encode/rebuild algebra driven
 // purely through its Hooks — a miniature in-memory "group" with
-// synchronous delivery, no cluster, no clock (the test_ckpt.cpp XorScheme
-// harness generalised to multi-loss). The corrupted-piece tests pin the
+// synchronous delivery, no cluster, no clock. m = 1 is the RAID-5 XOR
+// scheme (--ckpt-scheme=xor), pinned here bit for bit against a plain XOR
+// fold of the rotated chunks. The corrupted-piece tests pin the
 // verify-on-rebuild contract: a reconstruction whose CRC32C disagrees
 // with what the survivors recorded must degrade down the recovery ladder,
 // never silently promote.
@@ -9,10 +10,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "checksum/fold.h"
 #include "checksum/kernels.h"
 #include "ckpt/codec.h"
 #include "ckpt/group.h"
@@ -64,6 +69,7 @@ struct RsMiniGroup {
     };
     hooks.send_piece = [this, index](int dst, const RsPieceMsg& msg,
                                      buf::Buffer image) {
+      sent_pieces.push_back({index, msg});
       RsPieceMsg m = msg;
       // In-flight parity corruption: structurally sound (lengths intact),
       // algebraically wrong — only the CRC check can catch it.
@@ -85,6 +91,7 @@ struct RsMiniGroup {
   int parity;
   std::vector<std::unique_ptr<RsScheme>> schemes;
   std::map<int, Image> rebuilt;
+  std::vector<std::pair<int, RsPieceMsg>> sent_pieces;  ///< (sender, piece)
   std::vector<std::uint64_t> impossible_barriers;
   std::uint64_t rebuilt_barrier = 0;
   bool duplicate_chunks = false;
@@ -101,7 +108,7 @@ std::vector<Image> exchange_epoch(RsMiniGroup& g, std::uint64_t epoch,
                                  epoch * 100 + i));
   }
   for (int i = 0; i < static_cast<int>(g.schemes.size()); ++i)
-    g.schemes[static_cast<std::size_t>(i)]->on_verified(images[i]);
+    g.schemes[static_cast<std::size_t>(i)]->on_verified(images[i], nullptr);
   return images;
 }
 
@@ -198,11 +205,50 @@ TEST(CkptRsScheme, RebuildAfterLaterEpochUsesTheLatestParity) {
 
 TEST(CkptRsScheme, DuplicatedChunksDoNotCorruptParity) {
   // GF fold of a duplicate would cancel the contribution (x ^ x = 0); the
-  // identity set must make at-least-once delivery idempotent.
-  RsMiniGroup g(4, 4, 2);
-  g.duplicate_chunks = true;
-  std::vector<Image> images = exchange_epoch(g, 1, 57);
-  expect_multi_rebuild(g, images, {1, 2}, 6);
+  // identity set must make at-least-once delivery idempotent. m = 1 folds
+  // every chunk with coefficient 1, so there a duplicate cancels outright.
+  for (int m : {1, 2}) {
+    RsMiniGroup g(4, 4, m);
+    g.duplicate_chunks = true;
+    std::vector<Image> images = exchange_epoch(g, 1, 57);
+    std::vector<int> dead = m == 1 ? std::vector<int>{3}
+                                   : std::vector<int>{1, 2};
+    expect_multi_rebuild(g, images, dead, 6);
+  }
+}
+
+TEST(CkptRsScheme, SingleParityBlocksAreThePlainXorFold) {
+  // rs(1) is RAID-5: holder p's one parity block (stripe p) is the XOR
+  // fold of every other member r's chunk (p - r - 1) mod n, zero-extended
+  // — the same bytes the pre-rs xor scheme built.
+  const int n = 4;
+  RsMiniGroup g(n, n, 1);
+  std::vector<Image> images = exchange_epoch(g, 1, 61);
+  for (int p = 0; p < n; ++p) {
+    g.sent_pieces.clear();
+    g.schemes[static_cast<std::size_t>(p)]->on_rebuild_request(
+        {(p + 1) % n}, 1, images[static_cast<std::size_t>(p)]);
+    ASSERT_EQ(g.sent_pieces.size(), 1u);
+    const RsPieceMsg& piece = g.sent_pieces[0].second;
+    ASSERT_EQ(piece.stripe_ids, (std::vector<std::int32_t>{p}));
+    std::vector<std::byte> want;
+    for (int r = 0; r < n; ++r) {
+      if (r == p) continue;
+      std::span<const std::byte> img =
+          images[static_cast<std::size_t>(r)].image.bytes();
+      std::size_t len = (img.size() + n - 2) / (n - 1);
+      std::size_t t = static_cast<std::size_t>((p - r - 1 + n) % n);
+      std::size_t begin = std::min(t * len, img.size());
+      std::size_t end = std::min(begin + len, img.size());
+      checksum::xor_fold(want, img.subspan(begin, end - begin));
+    }
+    ASSERT_EQ(piece.parity.size(), want.size()) << "holder " << p;
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), piece.parity.begin(),
+                           [](std::byte a, std::uint8_t b) {
+                             return std::to_integer<std::uint8_t>(a) == b;
+                           }))
+        << "rs(1) parity of holder " << p << " is not the XOR fold";
+  }
 }
 
 TEST(CkptRsScheme, IncompleteParityReportsImpossible) {
@@ -314,6 +360,120 @@ TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
     EXPECT_EQ(s->stats().parity_rounds_poisoned, 0u);
   }
   expect_multi_rebuild(g, next, {0, 2}, 15);
+}
+
+// ---------------------------------------------------------------------------
+// The xor scheme (--ckpt-scheme=xor) is rs with one parity block: the
+// single-loss RAID-5 contract, driven through the same harness at m = 1.
+// ---------------------------------------------------------------------------
+
+TEST(CkptXorScheme, ParityCompletesAfterAllChunksArrive) {
+  RsMiniGroup g(4, 4, 1);
+  exchange_epoch(g, 1, 64);
+  for (const auto& s : g.schemes) {
+    EXPECT_TRUE(s->parity_complete_for(1));
+    EXPECT_GT(s->redundancy_bytes(), 0u);
+    // ~1/(k-1) of an image per node, not a full copy.
+    EXPECT_LT(s->redundancy_bytes(), 64u + 7u * 4u);
+  }
+}
+
+TEST(CkptXorScheme, AnySingleDeadMemberRebuildsBitwise) {
+  for (int dead = 0; dead < 4; ++dead) {
+    RsMiniGroup g(4, 4, 1);
+    std::vector<Image> images = exchange_epoch(g, 1, 61);
+    expect_multi_rebuild(g, images, {dead}, 10);
+    EXPECT_TRUE(g.impossible_barriers.empty());
+  }
+}
+
+TEST(CkptXorScheme, MinimumGroupOfTwoDegeneratesToMirroring) {
+  // n = 2: one chunk = the whole image; the partner's parity IS a full copy.
+  RsMiniGroup g(2, 2, 1);
+  std::vector<Image> images = exchange_epoch(g, 1, 33);
+  expect_multi_rebuild(g, images, {1}, 4);
+}
+
+TEST(CkptXorScheme, RebuildAfterLaterEpochUsesTheLatestParity) {
+  RsMiniGroup g(4, 4, 1);
+  exchange_epoch(g, 1, 64);
+  std::vector<Image> images = exchange_epoch(g, 2, 80);
+  for (const auto& s : g.schemes) {
+    EXPECT_TRUE(s->parity_complete_for(2));
+    EXPECT_FALSE(s->parity_complete_for(1));
+  }
+  expect_multi_rebuild(g, images, {2}, 11);
+}
+
+TEST(CkptXorScheme, DuplicatedChunksDoNotCancelParity) {
+  // XOR-folding a duplicate would cancel that contribution to zero; the
+  // identity set must make redelivery idempotent.
+  RsMiniGroup g(4, 4, 1);
+  g.duplicate_chunks = true;
+  std::vector<Image> images = exchange_epoch(g, 1, 57);
+  expect_multi_rebuild(g, images, {3}, 6);
+}
+
+TEST(CkptXorScheme, IncompleteParityReportsImpossible) {
+  RsMiniGroup g(4, 4, 1);
+  g.drop_chunks = true;  // parity exchange never happens
+  std::vector<Image> images = exchange_epoch(g, 1, 50);
+  g.schemes[0] = g.make_scheme(0);
+  g.schemes[1]->on_rebuild_request({0}, 9, images[1]);
+  EXPECT_TRUE(g.rebuilt.empty());
+  ASSERT_EQ(g.impossible_barriers.size(), 1u);
+  EXPECT_EQ(g.impossible_barriers[0], 9u);
+}
+
+TEST(CkptXorScheme, ParityEpochBehindVerifiedReportsImpossible) {
+  // The member died between a commit and the parity exchange: survivors'
+  // verified epoch moved ahead of their complete parity.
+  RsMiniGroup g(4, 4, 1);
+  exchange_epoch(g, 1, 64);
+  g.drop_chunks = true;
+  std::vector<Image> images = exchange_epoch(g, 2, 64);  // chunks lost
+  g.schemes[0] = g.make_scheme(0);
+  g.schemes[1]->on_rebuild_request({0}, 12, images[1]);
+  EXPECT_TRUE(g.rebuilt.empty());
+  ASSERT_EQ(g.impossible_barriers.size(), 1u);
+}
+
+TEST(CkptXorScheme, ResetForgetsParity) {
+  RsMiniGroup g(4, 4, 1);
+  exchange_epoch(g, 1, 64);
+  g.schemes[2]->reset();
+  EXPECT_FALSE(g.schemes[2]->parity_complete_for(1));
+  EXPECT_EQ(g.schemes[2]->redundancy_bytes(), 0u);
+}
+
+TEST(CkptXorScheme, CorruptedParityPieceIsRejectedNotPromoted) {
+  // Verify-on-rebuild: a survivor's parity block is flipped in flight.
+  // The spare's reconstruction fails the recorded CRC32C, is counted as
+  // rejected, and falls down the recovery ladder instead of silently
+  // installing garbage state.
+  RsMiniGroup g(4, 4, 1);
+  std::vector<Image> images = exchange_epoch(g, 1, 73);
+  g.corrupt_piece_from = 2;
+  g.schemes[0] = g.make_scheme(0);
+  for (int i = 1; i < 4; ++i)
+    g.schemes[static_cast<std::size_t>(i)]->on_rebuild_request({0}, 21,
+                                                               images[i]);
+  EXPECT_TRUE(g.rebuilt.empty()) << "corrupted rebuild was promoted";
+  ASSERT_FALSE(g.impossible_barriers.empty());
+  EXPECT_EQ(g.impossible_barriers[0], 21u);
+  EXPECT_EQ(g.schemes[0]->stats().rebuilds_rejected, 1u);
+  EXPECT_EQ(g.schemes[0]->stats().rebuilds_completed, 0u);
+}
+
+TEST(CkptXorScheme, StatsCountChunksAndRebuilds) {
+  RsMiniGroup g(4, 4, 1);
+  std::vector<Image> images = exchange_epoch(g, 1, 64);
+  const RedundancyStats& st = g.schemes[0]->stats();
+  EXPECT_EQ(st.parity_chunks_sent, 3u);
+  EXPECT_GT(st.parity_bytes_sent, 0u);
+  expect_multi_rebuild(g, images, {2}, 5);
+  EXPECT_EQ(g.schemes[2]->stats().rebuilds_completed, 1u);
+  EXPECT_EQ(g.schemes[0]->stats().rebuild_pieces_sent, 1u);
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ TEST(RsTargeted, TwoDeadInOneGroupRebuildViaParityAlone) {
 /// still finishes with the right answer.
 TEST(RsTargeted, IdenticalScheduleUnderXorDegrades) {
   AcrConfig ac = soak_acr_config(/*tier=*/false);
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.rs_parity = 1;  // --ckpt-scheme=xor
   soak::Outcome o = run_group_kill(ac, {1, 2}, 1e-5);
   ASSERT_TRUE(o.summary.complete);
   EXPECT_EQ(o.digest, reference().digest);

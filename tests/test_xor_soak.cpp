@@ -1,5 +1,8 @@
 // XOR-redundancy fault soak.
 //
+// --ckpt-scheme=xor is rs with one parity block per stripe (ckpt/rs.h), so
+// the configs below are Scheme::Rs with rs_parity = 1.
+//
 // Property (ISSUE acceptance): under --ckpt-scheme=xor, killing any single
 // node per parity group mid-run must be survivable — every run completes
 // and its verified answer is bitwise identical to the fault-free answer.
@@ -26,7 +29,8 @@ constexpr int kGroupSize = 4;
 
 AcrConfig soak_acr_config() {
   AcrConfig ac = soak::base_acr_config();  // xor requires strong
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;  // --ckpt-scheme=xor is rs(1)
+  ac.rs_parity = 1;
   ac.xor_group_size = kGroupSize;
   return ac;
 }
