@@ -1,18 +1,17 @@
 // Event-engine scaling sweep: a PHOLD-style synthetic workload (ring of
 // logical nodes, each bouncing timestamped messages to itself and its
-// neighbors, plus watchdog cancel/rearm churn) run at 1k/16k/131k nodes
-// across engine lane counts. Two things are measured per point: wall time
-// (the perf trajectory, written to BENCH_engine.json) and a running digest
-// of every dispatch (node, sequence, time bits) — asserted bit-identical
-// across lane counts, which is the engine's determinism contract at the
-// scale the soak suites never reach.
+// neighbors, plus watchdog cancel/rearm churn) run at 1k/16k/131k nodes.
+// Two things are measured per node count: wall time over kRuns repeats
+// (median/min/max, written to BENCH_engine.json) and a running digest of
+// every dispatch (node, sequence, time bits) plus the event count — both
+// pinned to constants, so any change to the engine's (time, id) firing
+// order at a scale the soak suites never reach exits 1.
 //
-// Speedup-vs-serial is honest wall clock on whatever host runs the bench:
-// on a single-core machine the laned engine wins (or loses) only by its
-// algorithmics (small in-window overflow heap, O(1) mailbox appends,
-// per-lane heaps a fraction of the global size), not by threads. host_cores
-// is recorded in the JSON so trajectories from different machines are not
-// compared blindly.
+// host_cores is recorded in the JSON so trajectories from different
+// machines are not compared blindly; the engine itself is single-threaded.
+//
+// Run: build/bench/engine_scale   (writes BENCH_engine.json in the cwd)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -28,8 +27,23 @@ using namespace acr;
 namespace {
 
 constexpr int kEventsPerNode = 16;
-constexpr double kMinDelay = 5e-6;    // also the conservative lookahead
+constexpr double kMinDelay = 5e-6;
 constexpr double kDelaySpread = 45e-6;
+constexpr int kRuns = 5;
+
+/// Expected dispatch digest and event count per node count. Recorded from
+/// the pre-keyed-heap engine's serial path; the keyed heap fires the same
+/// events in the same order, so these never change with queue internals.
+struct Pin {
+  int nodes;
+  std::uint64_t digest;
+  std::size_t events;
+};
+constexpr Pin kPins[] = {
+    {1024, 0x23372c34b404eda9ULL, 14001},
+    {16384, 0xed96b71be977a2b8ULL, 223997},
+    {131072, 0x6ba04d537e784412ULL, 1791370},
+};
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
@@ -39,7 +53,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 struct PholdResult {
   std::uint64_t digest = 0;
   std::size_t events = 0;
-  std::uint64_t rounds = 0;
   double wall_seconds = 0.0;
 };
 
@@ -48,10 +61,9 @@ struct PholdResult {
 /// reschedule, so the cancelled-set churns exactly as the cluster's
 /// heartbeat timers do), and forwards the message to itself or a ring
 /// neighbor with a node-local PCG delay. Event count, times, and digest
-/// depend only on the per-node RNG streams — never on the lane count.
-PholdResult run_phold(int nodes, int lanes) {
-  rt::Engine engine(lanes);
-  engine.set_lookahead(kMinDelay);
+/// depend only on the per-node RNG streams and the (time, id) order.
+PholdResult run_phold(int nodes) {
+  rt::Engine engine;
 
   struct NodeState {
     Pcg32 rng;
@@ -77,9 +89,9 @@ PholdResult run_phold(int nodes, int lanes) {
     // Watchdog churn: cancel the previous (pending or long-fired) timer and
     // arm a fresh one past the end of the run.
     engine.cancel(s.watchdog);
-    s.watchdog = engine.schedule_after(
-        10.0, [&digest, node] { digest = mix(digest, ~static_cast<std::uint64_t>(node)); },
-        static_cast<rt::Engine::LaneKey>(node));
+    s.watchdog = engine.schedule_after(10.0, [&digest, node] {
+      digest = mix(digest, ~static_cast<std::uint64_t>(node));
+    });
     if (--s.remaining <= 0) {
       engine.cancel(s.watchdog);
       s.watchdog = 0;
@@ -90,16 +102,14 @@ PholdResult run_phold(int nodes, int lanes) {
     std::uint32_t pick = s.rng.bounded(10);
     if (pick < 2) dst = (node + 1) % nodes;                  // ring right
     else if (pick < 3) dst = (node + nodes - 1) % nodes;     // ring left
-    engine.schedule_after(delay, [&bounce, dst] { bounce(dst); },
-                          static_cast<rt::Engine::LaneKey>(dst));
+    engine.schedule_after(delay, [&bounce, dst] { bounce(dst); });
   };
 
   auto t0 = std::chrono::steady_clock::now();
   for (int n = 0; n < nodes; ++n) {
     NodeState& s = state[static_cast<std::size_t>(n)];
     double start = kMinDelay + kDelaySpread * (s.rng.next() * 0x1p-32);
-    engine.schedule_after(start, [&bounce, n] { bounce(n); },
-                          static_cast<rt::Engine::LaneKey>(n));
+    engine.schedule_after(start, [&bounce, n] { bounce(n); });
   }
   engine.run();
   auto t1 = std::chrono::steady_clock::now();
@@ -107,7 +117,6 @@ PholdResult run_phold(int nodes, int lanes) {
   PholdResult r;
   r.digest = digest;
   r.events = engine.events_processed();
-  r.rounds = engine.rounds();
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return r;
 }
@@ -115,47 +124,44 @@ PholdResult run_phold(int nodes, int lanes) {
 }  // namespace
 
 int main() {
-  const int node_counts[] = {1024, 16384, 131072};
-  const int lane_counts[] = {1, 2, 4, 8};
   unsigned cores = std::thread::hardware_concurrency();
 
-  std::printf("engine scaling sweep — PHOLD ring, %d events/node, host cores=%u\n\n",
-              kEventsPerNode, cores);
-  std::printf("%8s %6s %12s %10s %12s %10s\n", "nodes", "lanes", "events",
-              "rounds", "wall (s)", "speedup");
+  std::printf("engine scaling sweep — PHOLD ring, %d events/node, %d runs, "
+              "host cores=%u\n\n",
+              kEventsPerNode, kRuns, cores);
+  std::printf("%8s %12s %20s %10s %10s %10s\n", "nodes", "events", "digest",
+              "median(s)", "min(s)", "max(s)");
 
   struct Point {
-    int nodes, lanes;
+    int nodes;
     std::size_t events;
-    std::uint64_t rounds;
-    double wall, speedup;
+    double median, min, max;
   };
   std::vector<Point> points;
-  bool deterministic = true;
+  bool pinned = true;
 
-  for (int nodes : node_counts) {
-    double serial_wall = 0.0;
-    std::uint64_t serial_digest = 0;
-    std::size_t serial_events = 0;
-    for (int lanes : lane_counts) {
-      PholdResult r = run_phold(nodes, lanes);
-      if (lanes == 1) {
-        serial_wall = r.wall_seconds;
-        serial_digest = r.digest;
-        serial_events = r.events;
-      } else if (r.digest != serial_digest || r.events != serial_events) {
-        deterministic = false;
-        std::printf("DETERMINISM VIOLATION at nodes=%d lanes=%d\n", nodes,
-                    lanes);
+  for (const Pin& pin : kPins) {
+    std::vector<double> walls;
+    PholdResult r;
+    for (int run = 0; run < kRuns; ++run) {
+      r = run_phold(pin.nodes);
+      walls.push_back(r.wall_seconds);
+      if (r.digest != pin.digest || r.events != pin.events) {
+        pinned = false;
+        std::printf("PIN MISMATCH at nodes=%d run=%d: digest 0x%016llx "
+                    "events %zu (want 0x%016llx, %zu)\n",
+                    pin.nodes, run, static_cast<unsigned long long>(r.digest),
+                    r.events, static_cast<unsigned long long>(pin.digest),
+                    pin.events);
       }
-      double speedup = r.wall_seconds > 0.0 ? serial_wall / r.wall_seconds : 0.0;
-      std::printf("%8d %6d %12zu %10llu %12.4f %9.2fx\n", nodes, lanes,
-                  r.events, static_cast<unsigned long long>(r.rounds),
-                  r.wall_seconds, speedup);
-      points.push_back(
-          {nodes, lanes, r.events, r.rounds, r.wall_seconds, speedup});
     }
-    std::printf("\n");
+    std::sort(walls.begin(), walls.end());
+    Point p{pin.nodes, r.events, walls[walls.size() / 2], walls.front(),
+            walls.back()};
+    std::printf("%8d %12zu   0x%016llx %10.4f %10.4f %10.4f\n", p.nodes,
+                p.events, static_cast<unsigned long long>(r.digest), p.median,
+                p.min, p.max);
+    points.push_back(p);
   }
 
   std::FILE* out = std::fopen("BENCH_engine.json", "w");
@@ -163,22 +169,21 @@ int main() {
     std::fprintf(out,
                  "{\n \"config\": \"phold-ring events_per_node=%d "
                  "min_delay=%g spread=%g\",\n \"host_cores\": %u,\n"
-                 " \"deterministic\": %s,\n \"points\": [\n",
-                 kEventsPerNode, kMinDelay, kDelaySpread, cores,
-                 deterministic ? "true" : "false");
+                 " \"runs\": %d,\n \"pinned\": %s,\n \"points\": [\n",
+                 kEventsPerNode, kMinDelay, kDelaySpread, cores, kRuns,
+                 pinned ? "true" : "false");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Point& p = points[i];
       std::fprintf(out,
-                   "  {\"nodes\": %d, \"lanes\": %d, \"events_processed\": "
-                   "%zu, \"rounds\": %llu, \"wall_seconds\": %.6f, "
-                   "\"speedup_vs_serial\": %.4f}%s\n",
-                   p.nodes, p.lanes, p.events,
-                   static_cast<unsigned long long>(p.rounds), p.wall,
-                   p.speedup, i + 1 < points.size() ? "," : "");
+                   "  {\"nodes\": %d, \"events_processed\": %zu, "
+                   "\"wall_seconds_median\": %.6f, \"wall_seconds_min\": "
+                   "%.6f, \"wall_seconds_max\": %.6f}%s\n",
+                   p.nodes, p.events, p.median, p.min, p.max,
+                   i + 1 < points.size() ? "," : "");
     }
     std::fprintf(out, " ]\n}\n");
     std::fclose(out);
-    std::printf("wrote BENCH_engine.json\n");
+    std::printf("\nwrote BENCH_engine.json\n");
   }
-  return deterministic ? 0 : 1;
+  return pinned ? 0 : 1;
 }

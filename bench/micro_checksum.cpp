@@ -165,23 +165,6 @@ void BM_XorFold(benchmark::State& state) {
 }
 BENCHMARK(BM_XorFold)->Range(1 << 10, 1 << 22);
 
-void BM_XorFoldChunked(benchmark::State& state) {
-  auto add = make_buffer(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::byte> acc(add.size(), std::byte{0});
-  acr::parallel::set_global_threads(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    acr::checksum::xor_fold_chunked(acc, add);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  acr::parallel::set_global_threads(0);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_XorFoldChunked)
-    ->Args({1 << 22, 0})
-    ->Args({1 << 22, 2})
-    ->Args({1 << 22, 4});
-
 struct BigState {
   std::vector<double> a, b, c;
   void pup(acr::pup::Puper& p) {

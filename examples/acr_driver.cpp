@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
   double halt_after = 0.0;
   std::string kernel_impl = "auto";
   int kernel_threads = 0;
-  int engine_lanes = -1;  // sentinel: unset, inherit ACR_ENGINE_LANES
   std::uint64_t seed = 1;
   bool trace = false;
 
@@ -160,10 +159,6 @@ int main(int argc, char** argv) {
               "worker threads for chunked digests / parity folds / image "
               "copies below the DES (0 = serial; simulation output is "
               "bit-identical at any value)");
-  cli.add_int("engine-lanes", &engine_lanes,
-              "event-queue shards with conservative lookahead (1 = serial "
-              "single-heap path; unset inherits ACR_ENGINE_LANES; simulation "
-              "output is bit-identical at any value)");
   cli.add_uint64("seed", &seed, "master random seed");
   cli.add_flag("trace", &trace, "print the full protocol event trace");
   if (!cli.parse(argc, argv)) return 2;
@@ -213,11 +208,6 @@ int main(int argc, char** argv) {
   if (kernel_threads < 0) {
     std::fprintf(stderr, "error: --kernel-threads=%d must be >= 0\n",
                  kernel_threads);
-    return 2;
-  }
-  if (engine_lanes == 0 || engine_lanes < -1) {
-    std::fprintf(stderr, "error: --engine-lanes=%d must be >= 1\n",
-                 engine_lanes);
     return 2;
   }
   if (l2_bandwidth < 0.0) {
@@ -362,7 +352,6 @@ int main(int argc, char** argv) {
   cc.net_faults.reorder_rate = net_reorder;
   cc.net_faults.corrupt_rate = net_corrupt;
   cc.reliable.retry_budget = net_retry_budget;
-  if (engine_lanes > 0) cc.engine_lanes = engine_lanes;
 
   AcrRuntime runtime(ac, cc);
 

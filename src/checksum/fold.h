@@ -53,8 +53,8 @@ inline std::uint32_t buffer_crc32c(const buf::Buffer& b) {
 /// so folding the same chunk set in any order yields the same parity, and
 /// re-folding a survivor's chunk into its group parity recovers the missing
 /// member's chunk. The inner loop is the word-wise (auto-vectorizing)
-/// kernel; for pool-parallel folding of large images use
-/// xor_fold_chunked (kernels.h), which produces identical bytes.
+/// kernel; pool-parallel parity over large images goes through
+/// gf256_muladd_chunked (gf256.h), whose coeff == 1 case is this fold.
 inline void xor_fold(std::vector<std::byte>& acc,
                      std::span<const std::byte> add) {
   if (add.size() > acc.size()) acc.resize(add.size(), std::byte{0});

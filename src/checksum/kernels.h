@@ -25,7 +25,8 @@
 //      boundaries, which satisfies both.
 //
 //   3. Chunk-parallel drivers. crc32c_chunked / fletcher64_chunked /
-//      xor_fold_chunked fan fixed-size chunks across parallel::global()
+//      gf256_muladd_chunked (gf256.h) fan fixed-size chunks across
+//      parallel::global()
 //      and merge in index order. Chunk geometry depends only on the input
 //      size — never on the worker count — so any thread count (including
 //      serial) produces the same digest bit for bit.
@@ -181,11 +182,5 @@ std::uint32_t crc32c_chunked(std::span<const std::byte> data);
 /// Fletcher-64 of `data`, chunked and merged with fletcher64_combine.
 /// Bit-identical to the one-shot fletcher64() at any thread count.
 std::uint64_t fletcher64_chunked(std::span<const std::byte> data);
-
-/// xor_fold with the byte range fanned across parallel::global(). XOR is
-/// positional, so the split needs no combine step; any thread count folds
-/// the same bytes into the same slots. Zero-extends acc like xor_fold.
-void xor_fold_chunked(std::vector<std::byte>& acc,
-                      std::span<const std::byte> add);
 
 }  // namespace acr::checksum

@@ -78,92 +78,6 @@ void Pool::worker_loop() {
 
 namespace {
 
-/// Worker cap for LaneRunner: ACR_ENGINE_THREADS when set (>= 0), else
-/// hardware_concurrency() - 1 — on a single-core host every lane runs
-/// inline on the caller and no threads are spawned at all.
-int lane_worker_cap() {
-  if (const char* e = std::getenv("ACR_ENGINE_THREADS");
-      e != nullptr && *e != '\0') {
-    int n = std::atoi(e);
-    return n > 0 ? n : 0;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? static_cast<int>(hw) - 1 : 0;
-}
-
-}  // namespace
-
-LaneRunner::LaneRunner(int lanes, int max_threads)
-    : lanes_(lanes < 1 ? 1 : lanes) {
-  if (max_threads < 0) max_threads = lane_worker_cap();
-  int n = lanes_ - 1 < max_threads ? lanes_ - 1 : max_threads;
-  workers_.reserve(static_cast<std::size_t>(n < 0 ? 0 : n));
-  for (int i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-LaneRunner::~LaneRunner() {
-  {
-    std::lock_guard lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void LaneRunner::run(const std::function<void(int)>& fn) {
-  if (workers_.empty()) {
-    for (int lane = 0; lane < lanes_; ++lane) fn(lane);
-    return;
-  }
-  {
-    std::lock_guard lk(mu_);
-    job_ = &fn;
-    next_lane_ = 0;
-    pending_lanes_ = lanes_;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  run_lanes();  // the caller serves lanes too
-  std::unique_lock lk(mu_);
-  done_cv_.wait(lk, [&] { return pending_lanes_ == 0; });
-  job_ = nullptr;
-}
-
-void LaneRunner::run_lanes() {
-  for (;;) {
-    int lane;
-    {
-      std::lock_guard lk(mu_);
-      if (job_ == nullptr || next_lane_ >= lanes_) return;
-      lane = next_lane_++;
-    }
-    (*job_)(lane);
-    {
-      std::lock_guard lk(mu_);
-      if (--pending_lanes_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
-void LaneRunner::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock lk(mu_);
-      work_cv_.wait(lk, [&] {
-        return stop_ ||
-               (job_ != nullptr && generation_ != seen && next_lane_ < lanes_);
-      });
-      if (stop_) return;
-      seen = generation_;
-    }
-    run_lanes();
-  }
-}
-
-namespace {
-
 int env_threads() {
   const char* e = std::getenv("ACR_KERNEL_THREADS");
   if (e == nullptr || *e == '\0') return 0;

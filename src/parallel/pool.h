@@ -59,55 +59,6 @@ class Pool {
   std::vector<std::thread> workers_;
 };
 
-/// Persistent worker group for the sharded event engine's lanes — distinct
-/// from the global kernel Pool on purpose: lane workers are sized by the
-/// engine's lane count and owned by the engine, so resharding the event
-/// queue never resizes (or contends with) the data-plane kernel pool, and
-/// the workers persist across every extraction round of a run instead of
-/// being re-rendezvoused through the global pool's job slot.
-///
-/// run(fn) invokes fn(lane) for every lane in [0, lanes) and returns when
-/// all have completed; the calling thread works too. Workers claim lanes
-/// dynamically, so correctness never depends on which thread serves which
-/// lane — the engine's lane containers are disjoint, and the round barrier
-/// (mutex handoff) orders every lane mutation against the caller.
-class LaneRunner {
- public:
-  /// `lanes` parallel slots served by min(lanes - 1, max_threads) persistent
-  /// workers plus the caller. max_threads < 0 derives the cap from the
-  /// hardware concurrency (extra workers on a single-core host only add
-  /// context switches) unless the ACR_ENGINE_THREADS environment variable
-  /// overrides it — CI uses that to force real threads under TSan.
-  explicit LaneRunner(int lanes, int max_threads = -1);
-  ~LaneRunner();
-
-  LaneRunner(const LaneRunner&) = delete;
-  LaneRunner& operator=(const LaneRunner&) = delete;
-
-  int lanes() const { return lanes_; }
-  int threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Invoke fn(lane) for every lane in [0, lanes), fanned across the
-  /// workers plus the calling thread; returns when every lane ran. fn must
-  /// not throw and must not call back into the same LaneRunner.
-  void run(const std::function<void(int)>& fn);
-
- private:
-  void worker_loop();
-  void run_lanes();
-
-  const int lanes_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(int)>* job_ = nullptr;
-  int next_lane_ = 0;     // next unclaimed lane of the current round
-  int pending_lanes_ = 0; // claimed-or-unclaimed lanes not yet finished
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
-
 /// The process-wide kernel pool. Defaults to serial (0 workers) unless the
 /// ACR_KERNEL_THREADS environment variable says otherwise; the driver's
 /// --kernel-threads flag overrides both via set_global_threads().

@@ -71,18 +71,6 @@ Cluster::Cluster(Engine& engine, const ClusterConfig& config)
       transport_(config.reliable, make_transport_hooks()) {
   ACR_REQUIRE(config.nodes_per_replica > 0, "need at least one node");
   ACR_REQUIRE(config.spare_nodes >= 0, "spare count must be non-negative");
-  if (config.engine_lanes > 0) engine_.set_lanes(config.engine_lanes);
-  if (engine_.lanes() > 1) {
-    // Conservative lookahead = the smallest non-zero delay the latency
-    // model can produce: an intra-replica service hop pair (2 * alpha), an
-    // app message (alpha_app floor), or an L2 round-trip when the durable
-    // tier is enabled. Zero-delay continuations are in-window by
-    // construction (time == now <= horizon), so they never constrain the
-    // window; a wider window only batches more, it cannot reorder.
-    double w = std::min(2.0 * config.net.alpha, config.app_alpha);
-    if (config.l2.bandwidth > 0.0) w = std::min(w, config.l2.latency);
-    engine_.set_lookahead(w);
-  }
 }
 
 void Cluster::map_onto_torus(const topo::Torus3D& torus,
@@ -216,8 +204,6 @@ void Cluster::send_task(int replica, TaskAddr src, TaskAddr dst, int tag,
   m.payload = std::move(payload);
   double lat = app_latency(m.size_bytes(), jitter_rng_);
   ++in_flight_.at(static_cast<std::size_t>(replica));
-  Engine::LaneKey lane =
-      static_cast<Engine::LaneKey>(role_endpoint(replica, dst.node_index));
   engine_.schedule_after(lat, [this, m = std::move(m)]() mutable {
     --in_flight_.at(static_cast<std::size_t>(m.dst_replica));
     // Traffic from an abandoned timeline (pre-rollback) is dropped.
@@ -235,7 +221,7 @@ void Cluster::send_task(int replica, TaskAddr src, TaskAddr dst, int tag,
       return;
     }
     nodes_[static_cast<std::size_t>(pid)]->deliver(m);
-  }, lane);
+  });
 }
 
 void Cluster::send_service(int src_replica, int src_node, int dst_replica,
@@ -269,8 +255,7 @@ void Cluster::send_service(int src_replica, int src_node, int dst_replica,
                              [static_cast<std::size_t>(m.dst.node_index)];
         if (pid < 0) return;
         nodes_[static_cast<std::size_t>(pid)]->deliver(m);
-      },
-      static_cast<Engine::LaneKey>(role_endpoint(dst_replica, dst_node)));
+      });
 }
 
 void Cluster::send_to_manager(int src_replica, int src_node, int tag,
@@ -290,11 +275,8 @@ void Cluster::send_to_manager(int src_replica, int src_node, int tag,
     return;
   }
   double lat = service_latency(false, wire);
-  // Manager events share lane 0 (key 0): there is one manager, so all of
-  // its traffic keeping to one lane maximizes heap locality.
-  engine_.schedule_after(
-      lat, [this, m = std::move(m)]() { manager_hook_(m); },
-      Engine::LaneKey{0});
+  engine_.schedule_after(lat,
+                         [this, m = std::move(m)]() { manager_hook_(m); });
 }
 
 void Cluster::send_from_manager(int dst_replica, int dst_node, int tag,
@@ -519,11 +501,9 @@ net::ReliableTransport::Hooks Cluster::make_transport_hooks() {
                                          link.dst / config_.nodes_per_replica,
                                  kAckWireBytes);
     std::uint64_t gen = transport_.generation(link);
-    // Lane affinity by receiving endpoint (+1 folds the manager's -1 in).
     engine_.schedule_after(
         lat + d.extra_delay,
-        [this, link, seq, gen] { transport_.on_ack_frame(link, seq, gen); },
-        static_cast<Engine::LaneKey>(link.src + 1));
+        [this, link, seq, gen] { transport_.on_ack_frame(link, seq, gen); });
   };
   h.deliver = [this](net::LinkKey link, net::ReliableTransport::Seq seq) {
     dispatch_frame(link, seq);
@@ -566,16 +546,14 @@ void Cluster::transmit_frame(net::LinkKey link,
         [this, link, seq, base, gen, d] {
           frame_arrived(link, seq, base, gen, d.corrupt, d.corrupt_byte,
                         d.corrupt_bit);
-        },
-        static_cast<Engine::LaneKey>(link.dst + 1));
+        });
   }
   if (d.duplicate) {
     engine_.schedule_after(
         w.latency + d.dup_extra_delay,
         [this, link, seq, base, gen] {
           frame_arrived(link, seq, base, gen, false, 0, 0);
-        },
-        static_cast<Engine::LaneKey>(link.dst + 1));
+        });
   }
 }
 

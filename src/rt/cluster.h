@@ -136,12 +136,6 @@ struct ClusterConfig {
   /// bandwidth == 0 leaves the tier's cost model unused.
   net::L2Params l2;
 
-  /// Shard the event engine into this many lanes (Engine::set_lanes) and
-  /// derive its conservative-lookahead window from the latency model. 0
-  /// leaves the engine as constructed (serial unless ACR_ENGINE_LANES set);
-  /// output is bit-identical at every value.
-  int engine_lanes = 0;
-
   std::uint64_t seed = 0xAC0FF00DULL;
 };
 

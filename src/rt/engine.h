@@ -1,4 +1,4 @@
-// Deterministic virtual-time event engine, sharded into lanes.
+// Deterministic virtual-time event engine: one keyed heap.
 //
 // The tasklet runtime executes *real* application code (real arrays, real
 // serialization, real bit flips) but advances a virtual clock through
@@ -10,46 +10,21 @@
 // deadlines when several frames are sent from one event — fire in the exact
 // order they were scheduled, on every platform, on every run.
 //
-// Sharding (§16 of DESIGN.md). A single binary heap over every pending
-// event is the scaling ceiling for 100k+-node sweeps: every push and pop
-// sifts through a multi-million-entry, cache-hostile array. The engine can
-// instead shard the queue into L lanes (per-node affinity via LaneKey),
-// each with its own min-heap and an O(1)-append mailbox, and advance in
-// *conservative-lookahead rounds*:
-//
-//   1. every lane drains its mailbox into its heap        (parallel)
-//   2. horizon = min(lane heads) + lookahead              (serial, O(L))
-//   3. every lane extracts its events <= horizon, in
-//      (time, id) order, into a sorted run                (parallel)
-//   4. the runs are merged and DISPATCHED strictly in the
-//      global (time, id) order                            (serial)
-//
-// Handlers always run one at a time on the dispatching thread, in exactly
-// the order the serial engine would fire them — handlers mutate shared
-// protocol state (trace log, in-flight counters, the jitter RNG stream),
-// so serialized dispatch *is* the determinism contract. What the lanes
-// parallelize is the queue machinery itself: heap pushes, pops, and the
-// per-round extraction sort, which dominate at large node counts. Events
-// scheduled *inside* the current round with time <= horizon go to a small
-// in-window overflow heap consulted at every dispatch, so an event can
-// never jump the global order; events beyond the horizon are O(1) mailbox
-// appends, batched into their lane's heap at the next round. Output is
-// therefore bit-identical at any lane count, and lanes == 1 runs the
-// original single-heap code path unchanged.
+// Layout (§16 of DESIGN.md). The binary min-heap holds 24-byte keys
+// {time, id, slot}; the handlers themselves live in a slab indexed by
+// `slot` and recycled through a free list. Every sift therefore moves
+// three words instead of a whole std::function; a handler is moved into
+// its slot at schedule time and out of it at pop, never copied. Slots are
+// recycled, ids are not: cancellation is keyed by id, so a stale cancel
+// can never reach the event that reuses a slot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
 #include "common/require.h"
-
-namespace acr::parallel {
-class LaneRunner;
-}  // namespace acr::parallel
 
 namespace acr::rt {
 
@@ -57,10 +32,6 @@ class Engine {
  public:
   using Handler = std::function<void()>;
   using EventId = std::uint64_t;
-  /// Lane-affinity key: lane = key % lanes(). Purely a locality hint (all
-  /// of one node's events land in one lane's heap); placement never affects
-  /// dispatch order, which is globally (time, id)-merged.
-  using LaneKey = std::uint64_t;
 
   /// cancel() sweeps the tracked-cancellation set once it exceeds
   /// kCancelPruneMinBacklog ids AND kCancelPruneSlackFactor times the
@@ -69,46 +40,20 @@ class Engine {
   static constexpr std::size_t kCancelPruneMinBacklog = 64;
   static constexpr std::size_t kCancelPruneSlackFactor = 2;
 
-  /// Lane count from the ACR_ENGINE_LANES environment variable (unset,
-  /// empty, or < 2 means the serial single-heap path).
-  Engine();
-  /// Explicit lane count (clamped to >= 1); overrides the environment.
-  explicit Engine(int lanes);
-  ~Engine();
+  Engine() = default;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  int lanes() const { return static_cast<int>(lanes_.size()); }
-  /// Reshard into `lanes` lanes. Only legal while no events are pending —
-  /// resharding a live queue would have to re-key every event.
-  void set_lanes(int lanes);
-
-  /// Conservative-lookahead window width, in virtual seconds: each round
-  /// extracts every event within `seconds` of the earliest pending one.
-  /// Derived by rt::Cluster from its latency model (min link/app/L2 delay);
-  /// any value >= 0 is safe — the window only sets the batch granularity,
-  /// never the dispatch order. 0 batches equal-deadline ties only.
-  void set_lookahead(double seconds);
-  double lookahead() const { return lookahead_; }
-
   double now() const { return now_; }
 
   /// Schedule `fn` at absolute virtual time `time` (>= now, finite).
-  EventId schedule_at(double time, Handler fn) {
-    return schedule_at(time, std::move(fn), next_id_);
-  }
-  /// Same, with a lane-affinity key (typically the destination node).
-  EventId schedule_at(double time, Handler fn, LaneKey lane_key);
+  EventId schedule_at(double time, Handler fn);
 
   /// Schedule `fn` after a non-negative delay.
   EventId schedule_after(double delay, Handler fn) {
     ACR_REQUIRE(delay >= 0.0, "negative delay");
     return schedule_at(now_ + delay, std::move(fn));
-  }
-  EventId schedule_after(double delay, Handler fn, LaneKey lane_key) {
-    ACR_REQUIRE(delay >= 0.0, "negative delay");
-    return schedule_at(now_ + delay, std::move(fn), lane_key);
   }
 
   /// Cancel a pending event. Cancelling an already-fired or unknown id is a
@@ -125,49 +70,28 @@ class Engine {
   std::size_t run_until(double t);
 
   std::size_t events_processed() const { return processed_; }
-  std::size_t pending() const;
+  std::size_t pending() const { return heap_.size(); }
   /// Cancelled ids still being tracked (bounded; see prune_cancelled).
   std::size_t cancelled_backlog() const { return cancelled_.size(); }
-  /// Lookahead rounds extracted so far (always 0 on the serial path).
-  std::uint64_t rounds() const { return rounds_; }
 
  private:
-  struct Event {
+  struct Key {
     double time;
     EventId id;
-    Handler fn;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.id > b.id;  // FIFO among ties
     }
   };
-  /// One shard of the queue. Aligned so that concurrent extraction rounds
-  /// never false-share a cache line between lane workers.
-  struct alignas(64) Lane {
-    // Binary min-heap over Event (std::push_heap/pop_heap with Later).
-    std::vector<Event> heap;
-    /// Events parked by schedule_at until the next round drains them into
-    /// the heap (O(1) append on the dispatch thread, batched heap insert
-    /// on this lane's worker).
-    std::vector<Event> mailbox;
-    /// This round's extracted events, ascending (time, id); run_pos is the
-    /// dispatch cursor.
-    std::vector<Event> run;
-    std::size_t run_pos = 0;
-  };
 
-  bool serial() const { return lanes_.size() == 1; }
-  Lane& lane_for(LaneKey key) {
-    return lanes_[static_cast<std::size_t>(key % lanes_.size())];
-  }
-
-  /// Pop the earliest event off a heap, MOVING it out (std::pop_heap
-  /// rotates it to the back, where it is not const like priority_queue's
-  /// top()). Handlers — and any checkpoint Buffers their closures hold —
-  /// are never copied on the hot dispatch path.
-  static Event pop_event(std::vector<Event>& heap);
+  /// Pop the earliest key and MOVE its handler out of the slab, freeing
+  /// the slot. Handlers — and any checkpoint Buffers their closures hold —
+  /// are never copied on the hot dispatch path; a cancelled event's
+  /// closure is released as soon as the caller drops the result.
+  Handler pop_event(Key* key);
 
   /// Drop tracked cancellations that no pending event matches: their event
   /// already fired (or never existed), so they can never be observed again.
@@ -175,39 +99,9 @@ class Engine {
   /// cancel() already-fired timer ids forever. O(pending), reserve-exact.
   void prune_cancelled();
 
-  // --- laned machinery (unused while serial()) -------------------------------
-  /// Start the next lookahead round: drain mailboxes, pick the horizon,
-  /// extract each lane's run, rebuild the merge cursor heap. Returns false
-  /// when every lane is empty (nothing pending anywhere).
-  bool extract_round();
-  /// Erase cancelled events sitting at the merge/overflow heads so the
-  /// next dispatch candidate is live.
-  void skip_cancelled_heads();
-  /// Next live event of the current round, or nullptr when the round is
-  /// exhausted. *from_overflow reports which structure holds it.
-  const Event* peek_round(bool* from_overflow);
-  /// Fire the event peek_round() returned.
-  void fire_round(bool from_overflow);
-  void merge_sift_down(std::size_t i);
-
-  bool step_serial();
-  bool step_laned();
-
-  std::vector<Lane> lanes_;
-  /// Merge cursor heap over the lanes with a non-exhausted run: holds lane
-  /// indices, ordered by each lane's run head (time, id).
-  std::vector<std::uint32_t> merge_;
-  /// In-window events: scheduled while a round is active with time <=
-  /// horizon_, dispatched in merged order with the runs. Short-lived
-  /// events (zero-delay continuations, sub-window messages) live and die
-  /// here without ever touching a lane heap.
-  std::vector<Event> overflow_;
-  double horizon_ = -std::numeric_limits<double>::infinity();
-  bool round_active_ = false;
-  double lookahead_ = 0.0;
-  std::uint64_t rounds_ = 0;
-  std::unique_ptr<parallel::LaneRunner> runner_;
-
+  std::vector<Key> heap_;  // binary min-heap (std::push_heap with Later)
+  std::vector<Handler> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::unordered_set<EventId> cancelled_;
   double now_ = 0.0;
   EventId next_id_ = 1;

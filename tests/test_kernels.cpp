@@ -270,28 +270,6 @@ TEST(Chunked, DigestsMatchOneShotAtAnyThreadCount) {
   }
 }
 
-TEST(Chunked, XorFoldMatchesScalarAndZeroExtends) {
-  const std::size_t kC = checksum::kDigestChunk;
-  auto add = random_bytes(2 * kC + 11, 22);
-  // Scalar reference.
-  std::vector<std::byte> want(kC / 2, std::byte{0x5A});
-  std::vector<std::byte> got = want;
-  {
-    std::vector<std::byte>& acc = want;
-    if (add.size() > acc.size()) acc.resize(add.size(), std::byte{0});
-    for (std::size_t i = 0; i < add.size(); ++i) acc[i] ^= add[i];
-  }
-  {
-    ScopedThreads t(3);
-    checksum::xor_fold_chunked(got, add);
-  }
-  EXPECT_EQ(got, want);
-  // Serial chunked path too.
-  std::vector<std::byte> serial(kC / 2, std::byte{0x5A});
-  checksum::xor_fold_chunked(serial, add);
-  EXPECT_EQ(serial, want);
-}
-
 // ---------------------------------------------------------------------------
 // Pool.
 // ---------------------------------------------------------------------------
