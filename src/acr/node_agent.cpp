@@ -49,72 +49,55 @@ std::size_t digest_vector_wire_bytes(std::size_t n) {
 }  // namespace
 
 void NodeAgent::make_scheme() {
-  switch (env_.config->redundancy) {
-    case ckpt::Scheme::Local:
-      scheme_ = std::make_unique<ckpt::LocalScheme>();
-      return;
-    case ckpt::Scheme::Partner:
-      scheme_ = std::make_unique<ckpt::PartnerScheme>();
-      return;
-    case ckpt::Scheme::Rs: {
-      const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-      ACR_REQUIRE(groups.enabled(),
-                  "rs redundancy requires cluster checkpoint groups");
-      ckpt::RsScheme::Hooks hooks;
-      // The verify-on-rebuild CRC32C tags ride the frame header on a real
-      // wire (the same charging rule as the consensus-abort epoch tag), so
-      // they are discounted from the modelled payload.
-      hooks.send_chunk = [this](int dst, const ckpt::RsChunkMsg& msg,
-                                buf::Buffer chunk) {
-        ckpt::RsChunkMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(rt::kMessageHeaderBytes +
-                                          pk.size() + chunk.size() -
-                                          kDigestScalarWireBytes);
-        send_to_agent(replica_, dst, wire::kRsParityChunk, std::move(pk),
-                      wire, std::move(chunk));
-      };
-      hooks.send_delta_chunk = [this](int dst,
-                                      const ckpt::RsDeltaChunkMsg& msg,
-                                      buf::Buffer payload) {
-        ckpt::RsDeltaChunkMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(rt::kMessageHeaderBytes +
-                                          pk.size() + payload.size() -
-                                          kDigestScalarWireBytes);
-        send_to_agent(replica_, dst, wire::kRsParityDeltaChunk,
-                      std::move(pk), wire, std::move(payload));
-      };
-      hooks.send_piece = [this](int dst, const ckpt::RsPieceMsg& msg,
-                                buf::Buffer image) {
-        ckpt::RsPieceMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(
-            rt::kMessageHeaderBytes + pk.size() + image.size() -
-            digest_vector_wire_bytes(m.member_digests.size()));
-        send_to_agent(replica_, dst, wire::kRsRebuildPiece, std::move(pk),
-                      wire, std::move(image));
-      };
-      hooks.report_impossible = [this](std::uint64_t barrier) {
-        wire::BarrierMsg msg{barrier};
-        send_to_manager(wire::kRsRebuildImpossible, rt::pack_payload(msg));
-      };
-      hooks.restore_rebuilt = [this](ckpt::Image img, std::uint64_t barrier) {
-        if (barrier <= last_restore_barrier_) return;  // wave already taken
-        restore_from(img, "rs rebuild", barrier);
-      };
-      scheme_ = std::make_unique<ckpt::RsScheme>(groups, index_,
-                                                 env_.config->rs_parity,
-                                                 std::move(hooks));
-      return;
-    }
-  }
-  ACR_REQUIRE(false, "unknown redundancy scheme");
-}
-
-ckpt::RsScheme* NodeAgent::rs_scheme() {
-  if (scheme_->kind() != ckpt::Scheme::Rs) return nullptr;
-  return static_cast<ckpt::RsScheme*>(scheme_.get());
+  // Local and partner hold no redundancy state of their own: the agent and
+  // the manager branch on AcrConfig::redundancy for them.
+  if (env_.config->redundancy != ckpt::Scheme::Rs) return;
+  const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
+  ACR_REQUIRE(groups.enabled(),
+              "rs redundancy requires cluster checkpoint groups");
+  ckpt::RsScheme::Hooks hooks;
+  // The verify-on-rebuild CRC32C tags ride the frame header on a real
+  // wire (the same charging rule as the consensus-abort epoch tag), so
+  // they are discounted from the modelled payload.
+  hooks.send_chunk = [this](int dst, const ckpt::RsChunkMsg& msg,
+                            buf::Buffer chunk) {
+    ckpt::RsChunkMsg m = msg;
+    buf::Buffer pk = rt::pack_payload(m);
+    double wire = static_cast<double>(rt::kMessageHeaderBytes + pk.size() +
+                                      chunk.size() - kDigestScalarWireBytes);
+    send_to_agent(replica_, dst, wire::kRsParityChunk, std::move(pk), wire,
+                  std::move(chunk));
+  };
+  hooks.send_delta_chunk = [this](int dst, const ckpt::RsDeltaChunkMsg& msg,
+                                  buf::Buffer payload) {
+    ckpt::RsDeltaChunkMsg m = msg;
+    buf::Buffer pk = rt::pack_payload(m);
+    double wire = static_cast<double>(rt::kMessageHeaderBytes + pk.size() +
+                                      payload.size() - kDigestScalarWireBytes);
+    send_to_agent(replica_, dst, wire::kRsParityDeltaChunk, std::move(pk),
+                  wire, std::move(payload));
+  };
+  hooks.send_piece = [this](int dst, const ckpt::RsPieceMsg& msg,
+                            buf::Buffer image) {
+    ckpt::RsPieceMsg m = msg;
+    buf::Buffer pk = rt::pack_payload(m);
+    double wire = static_cast<double>(
+        rt::kMessageHeaderBytes + pk.size() + image.size() -
+        digest_vector_wire_bytes(m.member_digests.size()));
+    send_to_agent(replica_, dst, wire::kRsRebuildPiece, std::move(pk), wire,
+                  std::move(image));
+  };
+  hooks.report_impossible = [this](std::uint64_t barrier) {
+    wire::BarrierMsg msg{barrier};
+    send_to_manager(wire::kRsRebuildImpossible, rt::pack_payload(msg));
+  };
+  hooks.restore_rebuilt = [this](ckpt::Image img, std::uint64_t barrier) {
+    if (barrier <= last_restore_barrier_) return;  // wave already taken
+    restore_from(img, "rs rebuild", barrier);
+  };
+  rs_ = std::make_unique<ckpt::RsScheme>(groups, index_,
+                                         env_.config->rs_parity,
+                                         std::move(hooks));
 }
 
 std::vector<int> NodeAgent::child_indices() const {
@@ -171,7 +154,7 @@ void NodeAgent::reset_for_restart() {
   awaiting_go_ = false;
   node_.set_gated(false);
   store_.reset();
-  scheme_->reset();
+  if (rs_) rs_->reset();
   invalidate_codec_bases();
   pack_complete_ = false;
   have_remote_ = false;
@@ -323,10 +306,10 @@ void NodeAgent::on_service_message(const rt::Message& m) {
           rt::unpack_payload<wire::RestoreCmdMsg>(m));
     case wire::kRsRebuildSend: {
       auto cmd = rt::unpack_payload<wire::RsRebuildCmd>(m);
-      if (ckpt::RsScheme* r = rs_scheme()) {
+      if (rs_) {
         std::vector<int> dead(cmd.dead_indices.begin(),
                               cmd.dead_indices.end());
-        r->on_rebuild_request(dead, cmd.barrier, store_.verified());
+        rs_->on_rebuild_request(dead, cmd.barrier, store_.verified());
       }
       return;
     }
@@ -349,21 +332,18 @@ void NodeAgent::on_service_message(const rt::Message& m) {
       return handle_buddy_need_full(rt::unpack_payload<wire::NeedFullMsg>(m));
     case wire::kRsParityChunk: {
       auto msg = rt::unpack_payload<ckpt::RsChunkMsg>(m);
-      if (ckpt::RsScheme* r = rs_scheme())
-        r->on_chunk(m.src.node_index, msg, m.attachment);
+      if (rs_) rs_->on_chunk(m.src.node_index, msg, m.attachment);
       return;
     }
     case wire::kRsParityDeltaChunk: {
       auto msg = rt::unpack_payload<ckpt::RsDeltaChunkMsg>(m);
-      if (ckpt::RsScheme* r = rs_scheme())
-        r->on_delta_chunk(m.src.node_index, msg, m.attachment);
+      if (rs_) rs_->on_delta_chunk(m.src.node_index, msg, m.attachment);
       return;
     }
     case wire::kRsRebuildPiece: {
       auto msg = rt::unpack_payload<ckpt::RsPieceMsg>(m);
       if (msg.barrier <= last_restore_barrier_) return;  // wave already taken
-      if (ckpt::RsScheme* r = rs_scheme())
-        r->on_piece(m.src.node_index, msg, m.attachment);
+      if (rs_) rs_->on_piece(m.src.node_index, msg, m.attachment);
       return;
     }
     default:
@@ -813,10 +793,10 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
   // unpaused by a commit addressed to its predecessor's round.
   if (msg.epoch != epoch_ || awaiting_go_) return;
   if (store_.promote(msg.epoch) == ckpt::PromoteResult::Promoted) {
-    // A new verified image exists: let the redundancy scheme protect it
-    // (no-op under local/partner — the buddy already holds its copy).
+    // A new verified image exists: let rs parity protect it (local and
+    // partner have nothing to do — the buddy already holds its copy).
     if (!codec_on()) {
-      scheme_->on_verified(store_.verified(), nullptr);
+      if (rs_) rs_->on_verified(store_.verified(), nullptr);
     } else {
       const ckpt::CodecConfig& codec = env_.config->codec;
       // The hints point at the PREVIOUS committed image — the delta base —
@@ -828,7 +808,7 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
       hints.digests = &cand_digests_;
       hints.base_epoch = codec_base_.epoch;
       hints.force_full = parity_force_full_;
-      scheme_->on_verified(store_.verified(), &hints);
+      if (rs_) rs_->on_verified(store_.verified(), &hints);
       parity_force_full_ = false;
       if (codec.delta_on()) {
         // The committed image becomes every channel's next delta base.
@@ -870,7 +850,7 @@ void NodeAgent::handle_rollback(const wire::RestoreCmdMsg& msg, bool sdc) {
     // necessarily passed the comparison, so restoring it needs no traffic.
     // The partner scheme keeps the original protocol to the byte: ask the
     // manager to route the buddy's verified image here.
-    if (scheme_->kind() != ckpt::Scheme::Partner) {
+    if (env_.config->redundancy != ckpt::Scheme::Partner) {
       if (const ckpt::Image* img = store_.restorable(msg.epoch)) {
         ckpt::Image local = *img;
         restore_from(local, why, msg.barrier);
@@ -917,12 +897,11 @@ void NodeAgent::restore_from(const ckpt::Image& ckpt, const char* why,
     // of THIS node's image may be gone with their hardware. Ship full
     // everywhere until new bases are established.
     invalidate_codec_bases();
-    // The restored image is the node's (possibly new) verified state: the
-    // redundancy scheme re-protects it. Under rs this is what re-feeds a
-    // promoted spare's group parity — every member re-sends its chunks
-    // after the rollback wave; holders that already completed this epoch
-    // ignore them.
-    scheme_->on_verified(store_.verified(), nullptr);
+    // The restored image is the node's (possibly new) verified state: rs
+    // parity re-protects it. This is what re-feeds a promoted spare's
+    // group parity — every member re-sends its chunks after the rollback
+    // wave; holders that already completed this epoch ignore them.
+    if (rs_) rs_->on_verified(store_.verified(), nullptr);
     // If L2 lacks the adopted epoch for this role (a promoted spare whose
     // predecessor died mid-flush), re-drain it so the epoch converges back
     // to fully-flushed. No-op when the tier is disabled.

@@ -6,8 +6,8 @@
 //    asynchronous max-progress and readiness reductions along a binary tree
 //    of the replica's logical node indices;
 //  * the double in-memory checkpoint store (ckpt::Store: verified +
-//    candidate epochs) and the pluggable redundancy scheme protecting it
-//    (ckpt::RedundancyScheme: local / partner / rs group parity);
+//    candidate epochs) and the redundancy policy protecting it (local,
+//    partner, or rs group parity held by a ckpt::RsScheme);
 //  * SDC detection — shipping the checkpoint (or its Fletcher-64 digest) to
 //    the buddy node in the other replica and comparing (§2.1, §4.1–4.2);
 //  * buddy heartbeating and no-response failure detection (§6.1);
@@ -26,7 +26,6 @@
 
 #include "acr/config.h"
 #include "acr/wire.h"
-#include "ckpt/redundancy.h"
 #include "ckpt/rs.h"
 #include "ckpt/store.h"
 #include "ckpt/tier.h"
@@ -104,8 +103,9 @@ class NodeAgent final : public rt::NodeService {
   bool flush_active() const { return flush_.active; }
   /// The double checkpoint store (verified/candidate epochs).
   const ckpt::Store& store() const { return store_; }
-  /// The redundancy scheme protecting the verified image.
-  const ckpt::RedundancyScheme& redundancy() const { return *scheme_; }
+  /// The rs parity state protecting the verified image; null unless
+  /// --ckpt-scheme=rs.
+  const ckpt::RsScheme* rs() const { return rs_.get(); }
 
   /// Codec-pipeline traffic counters (all zero when the codec is off).
   struct CodecStats {
@@ -194,10 +194,8 @@ class NodeAgent final : public rt::NodeService {
   void refresh_done_from_tasks();
   void report_node_done_if_complete();
 
-  // Redundancy scheme plumbing.
+  /// Build rs_ (with its wire hooks) under the rs policy; no-op otherwise.
   void make_scheme();
-  /// The scheme as RsScheme, or nullptr under any other scheme.
-  ckpt::RsScheme* rs_scheme();
 
   // Heartbeats.
   void heartbeat_tick();
@@ -253,9 +251,9 @@ class NodeAgent final : public rt::NodeService {
   std::vector<bool> done_;
   bool node_done_reported_ = false;
 
-  // Checkpoint store + redundancy scheme.
+  // Checkpoint store + rs group parity (null unless redundancy == Rs).
   ckpt::Store store_;
-  std::unique_ptr<ckpt::RedundancyScheme> scheme_;
+  std::unique_ptr<ckpt::RsScheme> rs_;
   std::size_t checkpoints_packed_ = 0;
 
   // Two-phase restart barrier: restored, waiting for the collective go.

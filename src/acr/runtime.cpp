@@ -286,17 +286,18 @@ RunSummary AcrRuntime::run(double max_virtual_time) {
       if (n == nullptr) continue;
       auto* svc = n->service();
       if (svc == nullptr) continue;
-      const ckpt::RedundancyStats& rs =
-          static_cast<NodeAgent*>(svc)->redundancy().stats();
-      s.parity_chunks_sent += rs.parity_chunks_sent;
-      s.parity_bytes_sent += rs.parity_bytes_sent;
-      s.xor_rebuilds += rs.rebuilds_completed;
-      s.parity_rebuild_pieces += rs.rebuild_pieces_sent;
-      s.parity_rebuild_bytes += rs.rebuild_bytes_sent;
-      s.parity_rebuilds_rejected += rs.rebuilds_rejected;
-      s.parity_delta_chunks += rs.parity_delta_chunks_sent;
-      s.parity_delta_bytes += rs.parity_delta_bytes_sent;
-      s.parity_rounds_poisoned += rs.parity_rounds_poisoned;
+      if (const ckpt::RsScheme* rs = static_cast<NodeAgent*>(svc)->rs()) {
+        const ckpt::RedundancyStats& st = rs->stats();
+        s.parity_chunks_sent += st.parity_chunks_sent;
+        s.parity_bytes_sent += st.parity_bytes_sent;
+        s.xor_rebuilds += st.rebuilds_completed;
+        s.parity_rebuild_pieces += st.rebuild_pieces_sent;
+        s.parity_rebuild_bytes += st.rebuild_bytes_sent;
+        s.parity_rebuilds_rejected += st.rebuilds_rejected;
+        s.parity_delta_chunks += st.parity_delta_chunks_sent;
+        s.parity_delta_bytes += st.parity_delta_bytes_sent;
+        s.parity_rounds_poisoned += st.parity_rounds_poisoned;
+      }
       const NodeAgent::CodecStats& cs =
           static_cast<NodeAgent*>(svc)->codec_stats();
       s.codec_frames += cs.frames;

@@ -63,9 +63,9 @@ struct RunSummary {
   std::uint64_t net_crc_drops = 0;     ///< frames failing CRC32C on arrival
   std::uint64_t net_stale_epoch_drops = 0;  ///< app msgs from stale epochs
   std::uint64_t net_link_failures = 0;      ///< retry budgets exhausted
-  // Checkpoint redundancy (ckpt::RedundancyScheme). The parity counters
-  // stay zero except under the rs scheme; they aggregate over the
-  // agents alive at completion. Encode-side (steady-state parity exchange)
+  // Checkpoint redundancy (AcrConfig::redundancy). The parity counters
+  // stay zero except under the rs scheme (ckpt::RsScheme); they aggregate
+  // over the agents alive at completion. Encode-side (steady-state parity exchange)
   // and rebuild-side (recovery waves) wire traffic are kept separate so
   // sweeps can report each scheme's cost structure accurately.
   const char* ckpt_scheme = "partner";
@@ -109,6 +109,11 @@ struct RunSummary {
   std::uint64_t parity_delta_bytes = 0;    ///< parity diff payload bytes
   std::uint64_t parity_rounds_poisoned = 0;  ///< parity delta rounds abandoned
   std::uint64_t l2_delta_blobs = 0;      ///< v2 delta blobs published to L2
+
+  /// Field-by-field equality, finish_time exact. ckpt_scheme compares as a
+  /// pointer: run() always points it at one of ckpt::scheme_name's string
+  /// literals, so for run() results pointer equality is name equality.
+  bool operator==(const RunSummary&) const = default;
 };
 
 class AcrRuntime {

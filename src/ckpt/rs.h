@@ -52,12 +52,49 @@
 #include <vector>
 
 #include "buf/buffer.h"
+#include "ckpt/codec.h"
 #include "ckpt/group.h"
-#include "ckpt/redundancy.h"
+#include "ckpt/store.h"
 #include "pup/pup.h"
 #include "pup/stl.h"
 
 namespace acr::ckpt {
+
+/// Every this-many epochs the parity exchange ships full chunks even when
+/// deltas are possible, so a holder whose parity history died with its
+/// hardware (promoted spare, shrink remap) re-converges within a bounded
+/// number of commits instead of poisoning delta rounds forever.
+inline constexpr std::uint64_t kParityDeltaFullCadence = 4;
+
+/// Codec context the agent hands the scheme alongside a verified image:
+/// the previous verified epoch (the delta base) and this image's chunk
+/// digests. Null pointer = no codec / no base — ship full. force_full
+/// marks re-protection after a restore, whose receivers may have lost
+/// their parity history.
+struct DeltaHints {
+  const CodecConfig* codec = nullptr;
+  const buf::Buffer* base_image = nullptr;
+  const std::vector<std::uint32_t>* base_digests = nullptr;
+  const std::vector<std::uint32_t>* digests = nullptr;
+  std::uint64_t base_epoch = 0;  ///< 0 = no base held
+  bool force_full = false;
+};
+
+struct RedundancyStats {
+  // Encode-side wire traffic (the steady-state parity exchange).
+  std::uint64_t parity_chunks_sent = 0;
+  std::uint64_t parity_bytes_sent = 0;    ///< chunk bytes put on the wire
+  // Rebuild-side wire traffic (recovery waves only), kept separate so
+  // sweeps can report steady-state encode cost vs recovery cost.
+  std::uint64_t rebuild_pieces_sent = 0;
+  std::uint64_t rebuild_bytes_sent = 0;   ///< piece payload bytes (image+parity)
+  std::uint64_t rebuilds_completed = 0;   ///< images reassembled on this node
+  std::uint64_t rebuilds_rejected = 0;    ///< reconstructions failing the CRC
+  // Codec (delta) counters — zero unless --ckpt-delta=on.
+  std::uint64_t parity_delta_chunks_sent = 0;
+  std::uint64_t parity_delta_bytes_sent = 0;  ///< diff payload bytes shipped
+  std::uint64_t parity_rounds_poisoned = 0;   ///< delta rounds that fell back
+};
 
 /// Stripe-layout algebra, exposed for the decoder and the round-trip
 /// tests. All functions are pure; n = group size, m = parity count.
@@ -171,7 +208,9 @@ struct RsPieceMsg {
   }
 };
 
-class RsScheme final : public RedundancyScheme {
+/// One instance per node agent under --ckpt-scheme=rs; the agent forwards
+/// verified-image events and the rs wire traffic here.
+class RsScheme {
  public:
   struct Hooks {
     /// Ship a parity chunk to group member `dst_index` (same replica).
@@ -196,10 +235,19 @@ class RsScheme final : public RedundancyScheme {
 
   RsScheme(const GroupMap& groups, int node_index, int parity, Hooks hooks);
 
-  Scheme kind() const override { return Scheme::Rs; }
-  void on_verified(const Image& img, const DeltaHints* hints) override;
-  void reset() override;
-  std::size_t redundancy_bytes() const override;
+  /// A new verified image exists on this node (commit promotion or a
+  /// completed restore — the latter matters: a promoted spare's parity
+  /// died with its predecessor and must be re-fed by the group). `hints`
+  /// (null when the codec is off) carries the delta base and chunk digests.
+  void on_verified(const Image& img, const DeltaHints* hints);
+
+  /// Forget all parity state (restart from scratch / re-promotion).
+  void reset();
+
+  /// Extra bytes this node holds purely for redundancy (parity blocks).
+  std::size_t redundancy_bytes() const;
+
+  const RedundancyStats& stats() const { return stats_; }
 
   /// A group member's parity chunk arrived for one of this node's parity
   /// stripes. Contributions are identity-tracked per (stripe, rank):
@@ -271,6 +319,7 @@ class RsScheme final : public RedundancyScheme {
   int k_ = 0;                 ///< data chunks per member (n - m)
   int my_rank_ = 0;
   Hooks hooks_;
+  RedundancyStats stats_;
 
   std::map<std::uint64_t, PendingRound> building_;  ///< by epoch
   std::optional<CompleteRound> complete_;

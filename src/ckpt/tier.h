@@ -7,8 +7,8 @@
 // an exhausted spare pool — and then the only options are restarting from
 // scratch or restoring from a slower durable level (the SCR / CRAFT
 // multi-level story). DurableTier models that level: a store of
-// vault-format blobs (encode_stored_image — header + payload + Fletcher-64
-// trailer, so an L2 blob IS a CheckpointVault file image) keyed by
+// self-validating blobs in the stored-image format (vault.h:
+// encode_stored_image — header + payload + Fletcher-64 trailer) keyed by
 // (replica, node index, epoch). The tier itself is passive and costless;
 // the TIME of every write/read is charged separately through the cluster's
 // net::L2ChannelModel, and the protocol around it (async flush chunking,
@@ -17,8 +17,8 @@
 // Atomicity contract: a node's image appears here only via publish(),
 // which the flush state machine calls once, after the LAST chunk's I/O
 // completes. A node that dies mid-flush has published nothing — there is
-// no half-written L2 image to fetch, matching the vault's temp-file+rename
-// discipline on real disks. An *epoch* is fetchable only when every role
+// no half-written L2 image to fetch, as a temp-file+rename write gives on
+// real disks. An *epoch* is fetchable only when every role
 // published (newest_complete_epoch), the multi-file analogue.
 #pragma once
 
@@ -117,7 +117,7 @@ class DurableTier {
   std::vector<std::uint64_t> epochs_present() const;
 
   /// Drop blobs of epochs older than `keep_from_epoch` (keeps the boundary
-  /// epoch itself, mirroring CheckpointVault::prune) — EXCEPT ancestors
+  /// epoch itself) — EXCEPT ancestors
   /// that a kept delta blob's base chain still references, which must
   /// survive until their last dependant is pruned.
   void prune(std::uint64_t keep_from_epoch);

@@ -1,12 +1,11 @@
 #include "ckpt/vault.h"
 
-#include <algorithm>
 #include <cstring>
-#include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "checksum/fletcher.h"
-#include "common/require.h"
 
 namespace acr::ckpt {
 
@@ -77,8 +76,11 @@ StoredImage decode_stored_image(std::span<const std::byte> blob) {
   if (h.version != kVersion)
     throw pup::StreamError("stored checkpoint image has unsupported version " +
                            std::to_string(h.version));
-  if (blob.size() <
-      sizeof h + h.payload_bytes + sizeof(std::uint64_t))
+  // Compare against the room left, never a sum: payload_bytes comes from
+  // the blob and may be large enough to wrap it.
+  std::size_t room = blob.size() - sizeof h;  // payload + trailer
+  if (room < sizeof(std::uint64_t) ||
+      h.payload_bytes > room - sizeof(std::uint64_t))
     throw pup::StreamError("stored checkpoint image is truncated");
 
   std::vector<std::byte> payload(static_cast<std::size_t>(h.payload_bytes));
@@ -153,15 +155,18 @@ DecodedBlob decode_any_image(std::span<const std::byte> blob) {
                            std::to_string(h.version));
 
   DeltaHeader dh{};
-  std::size_t need = sizeof h + sizeof dh;
-  if (blob.size() < need)
+  constexpr std::size_t kFixed = sizeof h + sizeof dh + sizeof(std::uint64_t);
+  if (blob.size() < kFixed)
     throw pup::StreamError("delta checkpoint blob is truncated");
   std::memcpy(&dh, blob.data() + sizeof h, sizeof dh);
-  need += dh.n_chunks + h.payload_bytes + sizeof(std::uint64_t);
-  if (blob.size() < need)
+  // Overflow-safe, as in decode_stored_image: map + payload must fit the
+  // room between the headers and the trailer.
+  std::size_t room = blob.size() - kFixed;
+  if (dh.n_chunks > room || h.payload_bytes > room - dh.n_chunks)
     throw pup::StreamError("delta checkpoint blob is truncated");
 
-  std::size_t body = need - sizeof(std::uint64_t);
+  std::size_t body = sizeof h + sizeof dh +
+                     static_cast<std::size_t>(dh.n_chunks + h.payload_bytes);
   std::uint64_t trailer = 0;
   std::memcpy(&trailer, blob.data() + body, sizeof trailer);
   checksum::Fletcher64 digest;
@@ -184,102 +189,6 @@ DecodedBlob decode_any_image(std::span<const std::byte> blob) {
       blob.subspan(sizeof h + sizeof dh + f.map.present.size(),
                    static_cast<std::size_t>(h.payload_bytes)));
   return out;
-}
-
-CheckpointVault::CheckpointVault(std::filesystem::path directory,
-                                 std::string prefix)
-    : directory_(std::move(directory)), prefix_(std::move(prefix)) {
-  ACR_REQUIRE(!prefix_.empty(), "vault prefix must be non-empty");
-  std::filesystem::create_directories(directory_);
-  // An interrupted store() can strand a "<prefix>.*.tmp" next to the real
-  // files; it can never be completed, so clear it now.
-  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
-    std::string name = entry.path().filename().string();
-    if (name.rfind(prefix_ + ".", 0) == 0 && name.size() > 4 &&
-        name.substr(name.size() - 4) == ".tmp")
-      std::filesystem::remove(entry.path());
-  }
-}
-
-std::filesystem::path CheckpointVault::path_for(std::uint64_t epoch) const {
-  return directory_ / (prefix_ + ".e" + std::to_string(epoch) + ".ckpt");
-}
-
-std::filesystem::path CheckpointVault::store(const StoredImage& ckpt) const {
-  std::vector<std::byte> blob = encode_stored_image(ckpt);
-
-  std::filesystem::path final_path = path_for(ckpt.epoch);
-  std::filesystem::path tmp_path = final_path;
-  tmp_path += ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    ACR_REQUIRE(out.good(), "cannot open checkpoint file for writing");
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    ACR_REQUIRE(out.good(), "checkpoint write failed");
-  }
-  std::filesystem::rename(tmp_path, final_path);
-  return final_path;
-}
-
-std::optional<StoredImage> CheckpointVault::load(std::uint64_t epoch) const {
-  std::filesystem::path path = path_for(epoch);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-
-  in.seekg(0, std::ios::end);
-  std::vector<std::byte> blob(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(blob.data()),
-          static_cast<std::streamsize>(blob.size()));
-  if (!in.good() && !blob.empty())
-    throw pup::StreamError("checkpoint file " + path.string() +
-                           ": short read");
-  try {
-    return decode_stored_image(blob);
-  } catch (const pup::StreamError& e) {
-    throw pup::StreamError("checkpoint file " + path.string() + ": " +
-                           e.what());
-  }
-}
-
-std::vector<std::uint64_t> CheckpointVault::epochs_on_disk() const {
-  std::vector<std::uint64_t> epochs;
-  std::string head = prefix_ + ".e";
-  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
-    std::string name = entry.path().filename().string();
-    if (name.rfind(head, 0) != 0) continue;
-    if (name.size() < head.size() + 6) continue;
-    if (name.substr(name.size() - 5) != ".ckpt") continue;
-    std::string digits = name.substr(head.size(),
-                                     name.size() - head.size() - 5);
-    try {
-      epochs.push_back(std::stoull(digits));
-    } catch (const std::exception&) {
-      continue;  // unrelated file
-    }
-  }
-  std::sort(epochs.begin(), epochs.end());
-  return epochs;
-}
-
-std::optional<StoredImage> CheckpointVault::load_latest() const {
-  std::vector<std::uint64_t> epochs = epochs_on_disk();
-  for (auto it = epochs.rbegin(); it != epochs.rend(); ++it) {
-    try {
-      std::optional<StoredImage> img = load(*it);
-      if (img) return img;
-    } catch (const pup::StreamError&) {
-      continue;  // corrupt file: fall back to the previous epoch
-    }
-  }
-  return std::nullopt;
-}
-
-void CheckpointVault::prune(std::uint64_t keep_from_epoch) const {
-  for (std::uint64_t epoch : epochs_on_disk())
-    if (epoch < keep_from_epoch)
-      std::filesystem::remove(path_for(epoch));
 }
 
 }  // namespace acr::ckpt

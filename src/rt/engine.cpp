@@ -11,61 +11,52 @@ Engine::EventId Engine::schedule_at(double time, Handler fn) {
   // meaningless as virtual times. Reject both loudly.
   ACR_REQUIRE(std::isfinite(time), "event time must be finite");
   ACR_REQUIRE(time >= now_, "cannot schedule in the past");
+  ACR_REQUIRE(next_seq_ < kMaxSeq, "event id space exhausted");
   std::uint32_t slot;
   if (free_slots_.empty()) {
+    ACR_REQUIRE(slots_.size() < kMaxSlots, "too many pending events");
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(fn));
+    slots_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot] = std::move(fn);
   }
-  EventId id = next_id_++;
-  heap_.push_back(Key{time, id, slot});
+  EventId id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
+  heap_.push_back(Key{time, id});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
-Engine::Handler Engine::pop_event(Key* key) {
+Engine::Handler Engine::pop_event(Key* key, bool* live) {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   *key = heap_.back();
   heap_.pop_back();
-  Handler fn = std::move(slots_[key->slot]);
-  free_slots_.push_back(key->slot);
+  std::uint32_t slot = slot_of(key->id);
+  Slot& s = slots_[slot];
+  *live = s.id == key->id;
+  if (!*live) --tombstones_;
+  s.id = 0;
+  Handler fn = std::move(s.fn);
+  free_slots_.push_back(slot);
   return fn;
 }
 
 void Engine::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return;  // never issued
-  cancelled_.insert(id);
-  // Ids of already-fired events accumulate here (watchdogs cancel stale
-  // timers long after they fired). Sweep once the backlog clearly exceeds
-  // what the pending set could account for.
-  if (cancelled_.size() > kCancelPruneMinBacklog &&
-      cancelled_.size() > kCancelPruneSlackFactor * pending())
-    prune_cancelled();
-}
-
-void Engine::prune_cancelled() {
-  std::unordered_set<EventId> live;
-  // Reserve-exact: a survivor must be both tracked and pending, so the
-  // smaller of the two counts bounds the result (cancelled_.size() alone
-  // over-reserved by the whole fired-id backlog being pruned away).
-  live.reserve(std::min(cancelled_.size(), pending()));
-  for (const Key& k : heap_)
-    if (cancelled_.count(k.id) > 0) live.insert(k.id);
-  cancelled_ = std::move(live);
+  if (id == 0) return;  // a free slot's id: never issued
+  std::uint32_t slot = slot_of(id);
+  if (slot >= slots_.size() || slots_[slot].id != id) return;
+  slots_[slot].id = 0;
+  ++tombstones_;
 }
 
 bool Engine::step() {
   while (!heap_.empty()) {
     Key key{};
-    Handler fn = pop_event(&key);
-    auto it = cancelled_.find(key.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
+    bool live = false;
+    Handler fn = pop_event(&key, &live);
+    if (!live) continue;
     now_ = key.time;
     ++processed_;
     fn();
@@ -85,11 +76,10 @@ std::size_t Engine::run_until(double t) {
   while (!heap_.empty()) {
     // Drop cancelled events first so the heap front is a live event and
     // step() cannot skip past `t` to a later one.
-    auto it = cancelled_.find(heap_.front().id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
+    if (front_cancelled()) {
       Key key{};
-      pop_event(&key);
+      bool live = false;
+      pop_event(&key, &live);
       continue;
     }
     if (heap_.front().time > t) break;

@@ -10,18 +10,19 @@
 // deadlines when several frames are sent from one event — fire in the exact
 // order they were scheduled, on every platform, on every run.
 //
-// Layout (§16 of DESIGN.md). The binary min-heap holds 24-byte keys
-// {time, id, slot}; the handlers themselves live in a slab indexed by
-// `slot` and recycled through a free list. Every sift therefore moves
-// three words instead of a whole std::function; a handler is moved into
-// its slot at schedule time and out of it at pop, never copied. Slots are
-// recycled, ids are not: cancellation is keyed by id, so a stale cancel
-// can never reach the event that reuses a slot.
+// Layout (§16 of DESIGN.md). The binary min-heap holds 16-byte keys
+// {time, id}; the handlers themselves live in a slab recycled through a
+// free list, and the low 24 bits of an id name its slot. Every sift
+// therefore moves two words instead of a whole std::function; a handler is
+// moved into its slot at schedule time and out of it at pop, never copied.
+// Cancellation is a tombstone: each slot records the id it currently
+// holds, cancel() clears it in O(1) when it matches, and pop drops a key
+// whose slot no longer carries its id. Slots are recycled, ids are not, so
+// a stale cancel can never reach the event that reuses a slot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/require.h"
@@ -31,14 +32,11 @@ namespace acr::rt {
 class Engine {
  public:
   using Handler = std::function<void()>;
+  /// (seq << kSlotBits) | slot, seq = 1, 2, ...: strictly increasing,
+  /// never recycled, and never 0.
   using EventId = std::uint64_t;
 
-  /// cancel() sweeps the tracked-cancellation set once it exceeds
-  /// kCancelPruneMinBacklog ids AND kCancelPruneSlackFactor times the
-  /// pending-event count — below that, the set is provably bounded by the
-  /// ids a prune could not discard anyway.
-  static constexpr std::size_t kCancelPruneMinBacklog = 64;
-  static constexpr std::size_t kCancelPruneSlackFactor = 2;
+  static constexpr int kSlotBits = 24;
 
   Engine() = default;
 
@@ -56,8 +54,10 @@ class Engine {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
-  /// Cancel a pending event. Cancelling an already-fired or unknown id is a
-  /// no-op (timers race with the events that obsolete them).
+  /// Cancel a pending event in O(1). Cancelling an already-fired, already
+  /// cancelled or unknown id is a no-op (timers race with the events that
+  /// obsolete them). The closure is released when its key reaches the
+  /// heap front.
   void cancel(EventId id);
 
   /// Execute the next event. Returns false when the queue is empty.
@@ -70,15 +70,24 @@ class Engine {
   std::size_t run_until(double t);
 
   std::size_t events_processed() const { return processed_; }
+  /// Keys in the heap, cancelled ones included.
   std::size_t pending() const { return heap_.size(); }
-  /// Cancelled ids still being tracked (bounded; see prune_cancelled).
-  std::size_t cancelled_backlog() const { return cancelled_.size(); }
+  /// Cancelled keys still in the heap (always <= pending()).
+  std::size_t cancelled_backlog() const { return tombstones_; }
 
  private:
+  /// Limits of the id fields: pending events, and events per engine.
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                           << (64 - kSlotBits);
+
   struct Key {
     double time;
     EventId id;
-    std::uint32_t slot;
+  };
+  struct Slot {
+    EventId id = 0;  ///< id of the live event held here; 0 = free/cancelled
+    Handler fn;
   };
   struct Later {
     bool operator()(const Key& a, const Key& b) const {
@@ -87,24 +96,28 @@ class Engine {
     }
   };
 
+  static std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>(id & (kMaxSlots - 1));
+  }
+
+  /// True when the heap front was cancelled.
+  bool front_cancelled() const {
+    return slots_[slot_of(heap_.front().id)].id != heap_.front().id;
+  }
+
   /// Pop the earliest key and MOVE its handler out of the slab, freeing
   /// the slot. Handlers — and any checkpoint Buffers their closures hold —
   /// are never copied on the hot dispatch path; a cancelled event's
-  /// closure is released as soon as the caller drops the result.
-  Handler pop_event(Key* key);
-
-  /// Drop tracked cancellations that no pending event matches: their event
-  /// already fired (or never existed), so they can never be observed again.
-  /// Keeps cancelled_ bounded by the pending-event count even when callers
-  /// cancel() already-fired timer ids forever. O(pending), reserve-exact.
-  void prune_cancelled();
+  /// closure is released as soon as the caller drops the result. Sets
+  /// `*live` to false (and retires the tombstone) for a cancelled key.
+  Handler pop_event(Key* key, bool* live);
 
   std::vector<Key> heap_;  // binary min-heap (std::push_heap with Later)
-  std::vector<Handler> slots_;
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_set<EventId> cancelled_;
   double now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
+  std::size_t tombstones_ = 0;
   std::size_t processed_ = 0;
 };
 

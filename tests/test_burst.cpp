@@ -16,9 +16,9 @@
 
 #include "acr/runtime.h"
 #include "apps/jacobi3d.h"
-#include "checksum/fletcher.h"
 #include "failure/adaptive_interval.h"
 #include "failure/correlated.h"
+#include "soak_util.h"
 
 namespace acr {
 namespace {
@@ -179,17 +179,6 @@ AcrConfig burst_acr_config() {
   return ac;
 }
 
-std::uint64_t verified_digest(AcrRuntime& runtime) {
-  checksum::Fletcher64 f;
-  for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    const NodeAgent& best = a.verified_epoch() >= b.verified_epoch() ? a : b;
-    f.append(best.verified_image());
-  }
-  return f.digest();
-}
-
 struct Reference {
   std::uint64_t digest = 0;
   double finish_time = 0.0;
@@ -207,7 +196,7 @@ const Reference& reference() {
     RunSummary s = runtime.run(1e3);
     ACR_REQUIRE(s.complete, "burst reference run must complete");
     Reference ref;
-    ref.digest = verified_digest(runtime);
+    ref.digest = soak::verified_digest(runtime);
     ref.finish_time = s.finish_time;
     return ref;
   }();
@@ -298,7 +287,7 @@ TEST(SpareLifecycle, PromotedThenRepairedNodeIsNotDoubleCounted) {
   EXPECT_EQ(cl.spares_remaining(), 1);
   EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::NodeRepaired));
   sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(soak::verified_digest(sim.runtime), reference().digest);
 }
 
 TEST(SpareLifecycle, RepairGuardsRejectLiveOrPooledNodes) {
@@ -350,7 +339,7 @@ TEST(Degradation, ShrinkModeDoublesUpAndCompletes) {
   EXPECT_FALSE(sim.runtime.cluster().doubled_roles().empty());
   EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::RoleDoubled));
   sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(soak::verified_digest(sim.runtime), reference().digest);
 }
 
 /// When a repaired node refills the pool, the doubled role is relieved:
@@ -376,7 +365,7 @@ TEST(Degradation, RepairedSpareUndoublesTheRole) {
   EXPECT_TRUE(sim.runtime.cluster().doubled_roles().empty());
   EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::RoleUndoubled));
   sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(soak::verified_digest(sim.runtime), reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -397,7 +386,7 @@ TEST(Degradation, SimultaneousBuddyPairLossFallsBackToScratch) {
   ASSERT_TRUE(s.complete) << "buddy-pair loss wedged the job";
   EXPECT_GE(s.scratch_restarts, 1u);
   sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(soak::verified_digest(sim.runtime), reference().digest);
 }
 
 /// Two members of one xor parity group die at the same instant: beyond
@@ -417,7 +406,7 @@ TEST(Degradation, SimultaneousGroupDoubleLossFallsBackToScratch) {
   ASSERT_TRUE(s.complete) << "group double-loss wedged the job";
   EXPECT_GE(s.scratch_restarts, 1u);
   sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(soak::verified_digest(sim.runtime), reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +432,7 @@ TEST(Degradation, SecondFailureMidRecoveryIsSerialized) {
   ASSERT_TRUE(s.complete) << "overlapping failures wedged the job";
   EXPECT_GE(s.hard_failures, 2u);
   sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(soak::verified_digest(sim.runtime), reference().digest);
 }
 
 /// Same, under xor redundancy with the second death mid-group-rebuild.
@@ -463,7 +452,7 @@ TEST(Degradation, SecondFailureMidXorRebuildIsSerialized) {
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete) << "failure mid-rebuild wedged the job";
   sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(soak::verified_digest(sim.runtime), reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +510,7 @@ TEST(BurstEndToEnd, RunsAreDeterministicPerSeed) {
     std::uint64_t digest = 0;
     if (s.complete) {
       sim.runtime.engine().run_until(s.finish_time + 0.05);
-      digest = verified_digest(sim.runtime);
+      digest = soak::verified_digest(sim.runtime);
     }
     return std::make_tuple(s.complete, s.finish_time, s.burst_node_kills,
                            s.roles_doubled, s.spare_repairs, digest);

@@ -299,7 +299,56 @@ TEST(VaultV2, DecodeAnyHandlesV1AndRejectsCorruption) {
   DecodedBlob d = decode_any_image(v1);
   ASSERT_FALSE(d.is_delta);
   EXPECT_EQ(d.full.epoch, 3u);
+  EXPECT_EQ(d.full.iteration, 30u);
   EXPECT_TRUE(d.full.image.buffer().content_equals(img.image.buffer()));
+
+  // A v2 (delta) blob of a one-byte change against the same image.
+  std::vector<std::byte> next(img.image.bytes().begin(),
+                              img.image.bytes().end());
+  next[10] ^= std::byte{0x42};
+  buf::Buffer changed = buf::Buffer::wrap(std::move(next));
+  std::vector<std::uint32_t> base_dig =
+      CodecPipeline::digests(img.image.bytes());
+  DeltaBlob delta;
+  delta.epoch = 4;
+  delta.iteration = 40;
+  delta.base_epoch = 3;
+  delta.frame = CodecPipeline(config(true, false))
+                    .encode(changed, CodecPipeline::digests(changed.bytes()),
+                            &base_dig, img.image.size());
+  std::vector<std::byte> v2 = encode_delta_image(delta);
+  ASSERT_GE(delta.frame.payload.size(), 2u);
+  ASSERT_TRUE(decode_any_image(v2).is_delta);
+
+  // Truncation anywhere — inside the shared header, inside v2's chunk-map
+  // header, or halfway through either payload — is rejected, never read
+  // past the end.
+  auto cut = [](const std::vector<std::byte>& blob, std::size_t n) {
+    return std::vector<std::byte>(blob.begin(),
+                                  blob.begin() + static_cast<long>(n));
+  };
+  constexpr std::size_t kTrailer = sizeof(std::uint64_t);
+  std::size_t v1_payload_mid = v1.size() - kTrailer - img.image.size() / 2;
+  std::size_t v2_payload_mid =
+      v2.size() - kTrailer - delta.frame.payload.size() / 2;
+  EXPECT_THROW(decode_any_image(cut(v1, 16)), pup::StreamError);
+  EXPECT_THROW(decode_any_image(cut(v1, v1_payload_mid)), pup::StreamError);
+  EXPECT_THROW(decode_any_image(cut(v2, 16)), pup::StreamError);
+  EXPECT_THROW(decode_any_image(cut(v2, 40)), pup::StreamError);
+  EXPECT_THROW(decode_any_image(cut(v2, v2_payload_mid)), pup::StreamError);
+
+  // A length field claiming more bytes than the blob holds — large enough
+  // that adding the header sizes to it wraps — is a truncation too. Byte
+  // offsets: the shared header's payload length is at 24, v2's chunk
+  // count at 48.
+  auto with_length = [](std::vector<std::byte> blob, std::size_t at) {
+    std::uint64_t huge = ~std::uint64_t{0} - 16;
+    std::memcpy(blob.data() + at, &huge, sizeof huge);
+    return blob;
+  };
+  EXPECT_THROW(decode_any_image(with_length(v1, 24)), pup::StreamError);
+  EXPECT_THROW(decode_any_image(with_length(v2, 24)), pup::StreamError);
+  EXPECT_THROW(decode_any_image(with_length(v2, 48)), pup::StreamError);
 
   v1[v1.size() / 2] ^= std::byte{0x01};
   EXPECT_THROW(decode_any_image(v1), pup::StreamError);

@@ -3,7 +3,6 @@
 // suite at the end pins the engine against a plain ordered-set reference.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -198,17 +197,17 @@ TEST(Engine, RunUntilEmptyQueueFastPath) {
 }
 
 TEST(Engine, CancelBacklogStaysBoundedForFiredIds) {
-  // Watchdogs cancel() timer ids that often fired long ago. The tracked-id
-  // set must not grow without bound over a long run.
+  // Watchdogs cancel() timer ids that often fired long ago. Cancelling a
+  // fired id must leave no trace at all.
   Engine e;
   std::vector<Engine::EventId> ids;
   for (int i = 0; i < 500; ++i)
     ids.push_back(e.schedule_at(static_cast<double>(i), [] {}));
   e.run();  // everything fires; all these ids are now stale
   for (Engine::EventId id : ids) e.cancel(id);
-  EXPECT_LE(e.cancelled_backlog(), 65u);  // pruned against empty queue
+  EXPECT_EQ(e.cancelled_backlog(), 0u);
 
-  // Cancellation of genuinely pending events still works after pruning.
+  // Cancellation of genuinely pending events still works after the churn.
   bool fired = false;
   auto pending = e.schedule_after(1.0, [&] { fired = true; });
   for (Engine::EventId id : ids) e.cancel(id);  // more stale churn
@@ -219,9 +218,8 @@ TEST(Engine, CancelBacklogStaysBoundedForFiredIds) {
 
 TEST(Engine, CancelAfterFireHammerHoldsTheDocumentedBound) {
   // Adversarial interleaving: keep a live pending population while
-  // relentlessly cancelling ids that already fired. After every cancel the
-  // backlog must respect the prune heuristic's own constants — it may
-  // exceed the slack-factor line only until the next cancel crosses it.
+  // relentlessly cancelling ids that already fired. The backlog counts
+  // only cancelled keys still in the heap, so it never exceeds pending().
   Engine e;
   std::vector<Engine::EventId> fired_ids;
   std::vector<Engine::EventId> live_ids;
@@ -236,16 +234,36 @@ TEST(Engine, CancelAfterFireHammerHoldsTheDocumentedBound) {
     t += 1.0;
     e.run_until(t);  // the 25 near events fire; the far ones stay pending
     for (Engine::EventId id : fired_ids) e.cancel(id);  // all stale now
-    std::size_t bound =
-        std::max(Engine::kCancelPruneMinBacklog,
-                 Engine::kCancelPruneSlackFactor * e.pending()) +
-        1;  // +1: the cancel that crosses the line is counted before pruning
-    EXPECT_LE(e.cancelled_backlog(), bound) << "round " << round;
+    EXPECT_LE(e.cancelled_backlog(), e.pending()) << "round " << round;
   }
   // The far-future population was never cancelled: it must all still fire.
   std::size_t before = e.events_processed();
   e.run();
   EXPECT_EQ(e.events_processed() - before, live_ids.size());
+}
+
+TEST(Engine, CancelBacklogCountsTombstonesExactly) {
+  // A cancelled pending event is one tombstone until its key reaches the
+  // heap front; cancelling it again, or cancelling a never-issued id, adds
+  // nothing.
+  Engine e;
+  int fired = 0;
+  Engine::EventId a = e.schedule_at(1.0, [&] { ++fired; });
+  Engine::EventId b = e.schedule_at(2.0, [&] { ++fired; });
+  e.schedule_at(3.0, [&] { ++fired; });
+  e.cancel(b);
+  e.cancel(b);
+  e.cancel(b + (Engine::EventId{1} << Engine::kSlotBits));  // not issued
+  e.cancel(0);
+  EXPECT_EQ(e.cancelled_backlog(), 1u);
+  EXPECT_EQ(e.pending(), 3u);
+  e.cancel(a);
+  EXPECT_EQ(e.cancelled_backlog(), 2u);
+  EXPECT_EQ(e.run_until(2.5), 0u);  // both tombstones popped, none fired
+  EXPECT_EQ(e.cancelled_backlog(), 0u);
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(Engine, CancelOfFiredIdDoesNotHitReusedSlot) {

@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "failure/distributions.h"
 #include "parallel/pool.h"
+#include "soak_util.h"
 
 namespace acr {
 namespace {
@@ -312,44 +313,6 @@ TEST(Pool, CopyBytesMatchesMemcpy) {
 // Determinism: driver scenarios bitwise identical across kernel configs.
 // ---------------------------------------------------------------------------
 
-void expect_summaries_equal(const RunSummary& a, const RunSummary& b,
-                            const char* what) {
-  EXPECT_EQ(a.complete, b.complete) << what;
-  EXPECT_EQ(a.failed, b.failed) << what;
-  EXPECT_EQ(a.finish_time, b.finish_time) << what;  // exact, not approx
-  EXPECT_EQ(a.checkpoints, b.checkpoints) << what;
-  EXPECT_EQ(a.hard_failures, b.hard_failures) << what;
-  EXPECT_EQ(a.sdc_injected, b.sdc_injected) << what;
-  EXPECT_EQ(a.sdc_detected, b.sdc_detected) << what;
-  EXPECT_EQ(a.recoveries, b.recoveries) << what;
-  EXPECT_EQ(a.scratch_restarts, b.scratch_restarts) << what;
-  EXPECT_EQ(a.net_frames, b.net_frames) << what;
-  EXPECT_EQ(a.net_drops, b.net_drops) << what;
-  EXPECT_EQ(a.net_duplicates, b.net_duplicates) << what;
-  EXPECT_EQ(a.net_corruptions, b.net_corruptions) << what;
-  EXPECT_EQ(a.net_retransmits, b.net_retransmits) << what;
-  EXPECT_EQ(a.net_crc_drops, b.net_crc_drops) << what;
-  EXPECT_EQ(a.net_stale_epoch_drops, b.net_stale_epoch_drops) << what;
-  EXPECT_EQ(a.net_link_failures, b.net_link_failures) << what;
-  EXPECT_STREQ(a.ckpt_scheme, b.ckpt_scheme) << what;
-  EXPECT_EQ(a.parity_chunks_sent, b.parity_chunks_sent) << what;
-  EXPECT_EQ(a.parity_bytes_sent, b.parity_bytes_sent) << what;
-  EXPECT_EQ(a.xor_rebuilds, b.xor_rebuilds) << what;
-}
-
-/// Fletcher-64 over the best verified image of every node role — the same
-/// end-state fingerprint the soak tests use, valid even mid-recovery.
-std::uint64_t final_state_digest(AcrRuntime& runtime) {
-  checksum::Fletcher64 f;
-  for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    const NodeAgent& best = a.verified_epoch() >= b.verified_epoch() ? a : b;
-    f.append(best.verified_image());
-  }
-  return f.digest();
-}
-
 struct ScenarioResult {
   RunSummary summary;
   std::uint64_t state_digest = 0;
@@ -388,7 +351,7 @@ ScenarioResult run_partner_scenario() {
   res.summary = runtime.run(30.0);
   if (res.summary.complete)
     runtime.engine().run_until(res.summary.finish_time + 0.05);
-  res.state_digest = final_state_digest(runtime);
+  res.state_digest = soak::verified_digest(runtime);
   res.trace_events = runtime.trace().events().size();
   return res;
 }
@@ -426,7 +389,7 @@ ScenarioResult run_xor_scenario() {
   res.summary = runtime.run(30.0);
   if (res.summary.complete)
     runtime.engine().run_until(res.summary.finish_time + 0.05);
-  res.state_digest = final_state_digest(runtime);
+  res.state_digest = soak::verified_digest(runtime);
   res.trace_events = runtime.trace().events().size();
   return res;
 }
@@ -454,7 +417,7 @@ void check_scenario_determinism(Scenario scenario, const char* name) {
     ScopedThreads t(c.threads);
     ScenarioResult got = scenario();
     std::string what = std::string(name) + " " + c.label;
-    expect_summaries_equal(base.summary, got.summary, what.c_str());
+    EXPECT_TRUE(base.summary == got.summary) << what;
     EXPECT_EQ(base.state_digest, got.state_digest) << what;
     EXPECT_EQ(base.trace_events, got.trace_events) << what;
   }

@@ -166,9 +166,9 @@ TEST(XorTargeted, TwoDeadInOneGroupFallsBackToScratch) {
   EXPECT_EQ(o.digest, reference().digest);
 }
 
-/// The local scheme keeps no cross-node redundancy at all: any hard failure
+/// The local policy keeps no cross-node redundancy at all: any hard failure
 /// after the first commit still completes, but only ever by scratch restart.
-TEST(XorTargeted, LocalSchemeRecoversOnlyFromScratch) {
+TEST(XorTargeted, LocalPolicyRecoversOnlyFromScratch) {
   apps::Jacobi3DConfig j = soak::small_app();
   AcrConfig ac = soak_acr_config();
   ac.redundancy = ckpt::Scheme::Local;
