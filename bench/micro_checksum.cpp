@@ -8,10 +8,12 @@
 // pack-tee's real 4 KiB write granularity, and the xor parity fold rate.
 //
 // Also measures the PUP pack / compare rates that calibrate the phase
-// model, so the calibration is reproducible on the build machine.
+// model, so the calibration is reproducible on the build machine, and the
+// checkpoint codec's LZ compress / decompress rates.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "checksum/fletcher.h"
 #include "checksum/kernels.h"
 #include "checksum/sink.h"
+#include "ckpt/codec.h"
 #include "common/rng.h"
 #include "parallel/pool.h"
 #include "pup/checker.h"
@@ -164,6 +167,81 @@ void BM_XorFold(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_XorFold)->Range(1 << 10, 1 << 22);
+
+// The checkpoint codec's LZ stage (ckpt/codec.h) on one 256 KiB digest
+// chunk of three shapes: a Jacobi field (the mini-app's smooth initial
+// condition after a few relaxation sweeps — mostly literals, like the
+// data-plane checkpoints), random bytes (incompressible: the raw-fallback
+// case) and zeros (offset-1 runs).
+enum LzInput : int { kLzJacobi = 0, kLzRandom = 1, kLzZeros = 2 };
+
+const char* lz_input_name(int kind) {
+  switch (kind) {
+    case kLzJacobi: return "jacobi";
+    case kLzRandom: return "random";
+    default: return "zeros";
+  }
+}
+
+std::vector<std::byte> lz_input(int kind) {
+  constexpr std::size_t kN = 32;  // 32^3 doubles = one 256 KiB chunk
+  if (kind == kLzRandom) return make_buffer(kN * kN * kN * sizeof(double));
+  std::vector<double> u(kN * kN * kN, 0.0);
+  if (kind == kLzJacobi) {
+    auto at = [](std::size_t x, std::size_t y, std::size_t z) {
+      return (z * kN + y) * kN + x;
+    };
+    for (std::size_t z = 0; z < kN; ++z)
+      for (std::size_t y = 0; y < kN; ++y)
+        for (std::size_t x = 0; x < kN; ++x)
+          u[at(x, y, z)] = std::sin(0.13 * static_cast<double>(x)) *
+                               std::cos(0.07 * static_cast<double>(y)) +
+                           0.01 * static_cast<double>(z);
+    std::vector<double> next = u;
+    for (int sweep = 0; sweep < 4; ++sweep) {
+      for (std::size_t z = 1; z + 1 < kN; ++z)
+        for (std::size_t y = 1; y + 1 < kN; ++y)
+          for (std::size_t x = 1; x + 1 < kN; ++x)
+            next[at(x, y, z)] =
+                (u[at(x - 1, y, z)] + u[at(x + 1, y, z)] +
+                 u[at(x, y - 1, z)] + u[at(x, y + 1, z)] +
+                 u[at(x, y, z - 1)] + u[at(x, y, z + 1)]) /
+                6.0;
+      u.swap(next);
+    }
+  }
+  std::vector<std::byte> out(u.size() * sizeof(double));
+  std::memcpy(out.data(), u.data(), out.size());
+  return out;
+}
+
+void BM_LzCompress(benchmark::State& state) {
+  std::vector<std::byte> in = lz_input(static_cast<int>(state.range(0)));
+  std::size_t packed = 0;
+  for (auto _ : state) {
+    packed = acr::ckpt::lz_compress_block(in).size();
+    benchmark::DoNotOptimize(packed);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.size()));
+  state.SetLabel(lz_input_name(static_cast<int>(state.range(0))));
+  state.counters["ratio"] =
+      static_cast<double>(packed) / static_cast<double>(in.size());
+}
+BENCHMARK(BM_LzCompress)->Arg(kLzJacobi)->Arg(kLzRandom)->Arg(kLzZeros);
+
+void BM_LzDecompress(benchmark::State& state) {
+  std::vector<std::byte> in = lz_input(static_cast<int>(state.range(0)));
+  std::vector<std::byte> packed = acr::ckpt::lz_compress_block(in);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        acr::ckpt::lz_decompress_block(packed, in.size()).data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.size()));
+  state.SetLabel(lz_input_name(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_LzDecompress)->Arg(kLzJacobi)->Arg(kLzRandom)->Arg(kLzZeros);
 
 struct BigState {
   std::vector<double> a, b, c;

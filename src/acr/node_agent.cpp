@@ -640,6 +640,7 @@ void NodeAgent::send_codec_frame_to_buddy() {
       base_ok ? pipe.encode(cand.image.buffer(), cand_digests_,
                             &codec_base_.digests, codec_base_.image.size())
               : pipe.encode_full(cand.image.buffer());
+  hold_for_flush(cand.epoch, cand.image.buffer(), frame);
   wire::DeltaCheckpointMsg msg;
   msg.epoch = cand.epoch;
   msg.iteration = cand.iteration;
@@ -689,6 +690,7 @@ void NodeAgent::handle_buddy_delta_checkpoint(const rt::Message& m) {
       remote_image_ = ckpt::CodecPipeline::decode(
           frame, partial ? buddy_base_.image.bytes()
                          : std::span<const std::byte>{});
+      hold_for_flush(msg.epoch, remote_image_, frame);
       have_remote_ = true;
       maybe_compare();
       return;
@@ -729,6 +731,13 @@ void NodeAgent::invalidate_codec_bases() {
   l2_base_digests_.clear();
   l2_base_bytes_ = 0;
   parity_force_full_ = true;
+  flush_reuse_.reset();
+}
+
+void NodeAgent::hold_for_flush(std::uint64_t epoch, const buf::Buffer& image,
+                               const ckpt::CodecFrame& frame) {
+  if (!tier_enabled() || frame.encoding != 1) return;
+  flush_reuse_ = std::make_unique<FlushReuse>(FlushReuse{epoch, image, frame});
 }
 
 void NodeAgent::maybe_compare() {
@@ -826,12 +835,12 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
             // overlaid on it. Aliases the reconstructed/shipped buffer.
             buddy_base_.epoch = msg.epoch;
             buddy_base_.image = remote_image_;
-            buddy_base_.digests =
-                ckpt::CodecPipeline::digests(remote_image_.bytes());
           }
         }
       }
     }
+    // Only this epoch's buddy frame can serve the flush that follows.
+    if (flush_reuse_ && flush_reuse_->epoch != msg.epoch) flush_reuse_.reset();
     // An in-flight flush of the previous epoch is now pointless: the next
     // kFlushCommand targets the new verified image.
     if (tier_enabled() && flush_.active && flush_.epoch < msg.epoch)
@@ -991,9 +1000,16 @@ void NodeAgent::start_flush(std::uint64_t epoch, bool urgent) {
     // verified image cannot change meanwhile, so pre-encoding is safe.
     const ckpt::Image& img = store_.verified();
     const ckpt::CodecConfig& codec = env_.config->codec;
-    std::vector<std::uint32_t> digests =
-        codec.delta_on() ? ckpt::CodecPipeline::digests(img.image.bytes())
-                         : std::vector<std::uint32_t>{};
+    // The commit that made this image verified kept its candidate digests
+    // as codec_base_'s; recompute only when that base is another image.
+    std::vector<std::uint32_t> digests;
+    if (codec.delta_on())
+      digests = codec_base_.epoch == epoch &&
+                        codec_base_.digests.size() ==
+                            checksum::digest_chunk_count(img.image.size()) &&
+                        codec_base_.image.content_equals(img.image.buffer())
+                    ? codec_base_.digests
+                    : ckpt::CodecPipeline::digests(img.image.bytes());
     // Delta against the newest blob this node published, while that chain
     // stays fetchable and short (a bounded chain bounds both fetch cost
     // and the blast radius of a lost ancestor).
@@ -1009,12 +1025,19 @@ void NodeAgent::start_flush(std::uint64_t epoch, bool urgent) {
       blob.epoch = epoch;
       blob.iteration = img.iteration;
       blob.base_epoch = base_ok ? l2_base_epoch_ : 0;
-      blob.frame = base_ok ? pipe.encode(img.image.buffer(), digests,
-                                         &l2_base_digests_, l2_base_bytes_)
-                           : pipe.encode_full(img.image.buffer());
+      // This epoch's buddy frame already compressed the chunks it carries.
+      const ckpt::CodecFrame* reuse =
+          flush_reuse_ && flush_reuse_->epoch == epoch &&
+                  flush_reuse_->image.content_equals(img.image.buffer())
+              ? &flush_reuse_->frame
+              : nullptr;
+      blob.frame = pipe.encode(img.image.buffer(), digests,
+                               base_ok ? &l2_base_digests_ : nullptr,
+                               l2_base_bytes_, reuse);
       flush_.blob = ckpt::encode_delta_image(blob);
       flush_.base_epoch = blob.base_epoch;
     }
+    flush_reuse_.reset();
     // Without a base and without compression the legacy v1 blob is
     // strictly smaller than a raw v2 frame; flush_.blob stays empty.
     flush_.digests = std::move(digests);

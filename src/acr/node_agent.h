@@ -158,6 +158,10 @@ class NodeAgent final : public rt::NodeService {
   /// each kind ships a full image. Called on restart, role change, and
   /// restore — the moments the ISSUE's invalidation rules name.
   void invalidate_codec_bases();
+  /// Keep a compressed buddy frame of `epoch` (and the image it encodes)
+  /// for the same epoch's L2 flush; no-op without the tier.
+  void hold_for_flush(std::uint64_t epoch, const buf::Buffer& image,
+                      const ckpt::CodecFrame& frame);
 
   // Durable-tier plumbing (all no-ops unless env_.tier is attached AND
   // config->tier.enabled() — the gate that keeps no-L2 runs byte-identical).
@@ -288,7 +292,8 @@ class NodeAgent final : public rt::NodeService {
   /// This node's last committed image (delta base for buddy/parity sends).
   CodecBase codec_base_;
   /// Cached copy of the BUDDY's committed image (replica-1 compare side):
-  /// what incoming delta frames are overlaid on.
+  /// what incoming delta frames are overlaid on. Its digests stay empty —
+  /// nothing diffs against the buddy's image.
   CodecBase buddy_base_;
   /// Epoch of this node's image the buddy last held in full — deltas are
   /// legal only while it equals codec_base_.epoch. 0 after any fallback.
@@ -303,6 +308,20 @@ class NodeAgent final : public rt::NodeService {
   std::uint64_t l2_base_bytes_ = 0;
   /// The next parity exchange must ship full chunks (post-restore).
   bool parity_force_full_ = false;
+  /// The compressed buddy frame of the current round and the image bytes
+  /// it encodes — replica 0's candidate, or replica 1's image decoded from
+  /// the buddy's frame. The same epoch's L2 flush copies its records
+  /// instead of compressing every chunk a second time (CodecPipeline::
+  /// encode, same-epoch reuse); the flush checks the bytes still equal
+  /// the verified image. Held only with the tier on (out of line, so
+  /// tier-less agents stay small); dropped by that flush, by a newer
+  /// commit, and with the codec bases.
+  struct FlushReuse {
+    std::uint64_t epoch = 0;
+    buf::Buffer image;
+    ckpt::CodecFrame frame;
+  };
+  std::unique_ptr<FlushReuse> flush_reuse_;
   CodecStats codec_stats_;
 
   // Heartbeat state. Each node watches its buddy (cross-replica, §2.1) and

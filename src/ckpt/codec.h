@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -116,10 +117,21 @@ class CodecPipeline {
   /// (or a base of a different size, or delta off) produces a full-map
   /// frame; otherwise chunks whose digest matches the base are dropped.
   /// The compress stage then encodes the surviving chunks when enabled.
+  ///
+  /// Same-epoch reuse: `reuse`, when non-null, must be a frame this
+  /// pipeline's config encoded from an image bitwise equal to `image` (the
+  /// caller proves the equality; the agent uses buf::Buffer::content_equals).
+  /// Every carried chunk that `reuse` also carries copies its record
+  /// (encoding byte, length, body) verbatim instead of compressing again.
+  /// This is exact: a record is a pure function of the chunk's bytes (LZ
+  /// is seed-free; raw-vs-LZ is decided by size alone), so the payload is
+  /// byte-equal to encoding without `reuse`. A raw-encoded or other-sized
+  /// `reuse` frame is ignored.
   CodecFrame encode(std::span<const std::byte> image,
                     std::span<const std::uint32_t> digests,
                     const std::vector<std::uint32_t>* base_digests,
-                    std::uint64_t base_bytes) const;
+                    std::uint64_t base_bytes,
+                    const CodecFrame* reuse = nullptr) const;
 
   /// Convenience: full-map frame (no delta), compression per config.
   CodecFrame encode_full(std::span<const std::byte> image) const;
@@ -130,7 +142,8 @@ class CodecPipeline {
   CodecFrame encode(const buf::Buffer& image,
                     std::span<const std::uint32_t> digests,
                     const std::vector<std::uint32_t>* base_digests,
-                    std::uint64_t base_bytes) const;
+                    std::uint64_t base_bytes,
+                    const CodecFrame* reuse = nullptr) const;
   CodecFrame encode_full(const buf::Buffer& image) const;
 
   /// Inverse of encode: reconstruct the full image. `base` supplies the
@@ -147,16 +160,30 @@ class CodecPipeline {
 // ---------------------------------------------------------------------------
 // Deterministic LZ block codec (the compress stage's inner loop).
 //
-// Greedy LZSS over a 64 KiB window: hash-chained 4-byte matches, tokens of
-// literal runs and (offset, length) copies. Seed-free and position-ordered,
-// so output depends only on input bytes — identical across thread counts,
-// kernel impls and machines. Checkpoint images of iterative codes are full
-// of zero runs and repeated lattice values; offset-1 matches turn those
-// into ~3 bytes per 259.
+// Greedy LZSS over a 64 KiB window: a single-entry hash table maps each
+// position's 4-byte prefix to the most recent position with the same hash,
+// and the one candidate it names is the only match tried. Tokens are
+// literal bytes and (offset, length) copies, eight to a control byte.
+// Seed-free and position-ordered, so output depends only on input bytes —
+// identical across thread counts, kernel impls and machines. Checkpoint
+// images of iterative codes are full of zero runs and repeated lattice
+// values; offset-1 matches turn those into ~3 bytes per 259.
+//
+// The format is pinned (LzBlock.GoldenStreamsArePinned): frame bytes, and
+// with them every virtual-time charge, depend on it. The coder is greedy
+// and probes every position, so its speed is bounded by the format; faster
+// kernels must emit the same bytes.
 // ---------------------------------------------------------------------------
 
 /// Compress one block. The output is self-delimiting given `in.size()`.
 std::vector<std::byte> lz_compress_block(std::span<const std::byte> in);
+
+/// lz_compress_block(in) when it is strictly shorter than `in`, else
+/// nullopt — the raw-fallback rule of the compress stage and of rs parity
+/// diffs. Stops coding as soon as the output reaches in.size(); output
+/// only grows, so giving up early never changes the answer.
+std::optional<std::vector<std::byte>> lz_compress_if_smaller(
+    std::span<const std::byte> in);
 
 /// Decompress a block produced by lz_compress_block into exactly
 /// `out_len` bytes. Throws pup::StreamError on malformed input.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "checksum/gf256.h"
@@ -102,7 +103,14 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
                hints->digests != nullptr && hints->base_digests != nullptr &&
                hints->digests->size() == hints->base_digests->size() &&
                img.epoch % kParityDeltaFullCadence != 1;
-  std::uint32_t digest = checksum::crc32c_chunked(img.image.bytes());
+  // The image's chunk digests, when the agent has them, merge into its
+  // CRC32C without another pass over the bytes.
+  const std::size_t size = img.image.size();
+  std::uint32_t digest =
+      hints != nullptr && hints->digests != nullptr &&
+              hints->digests->size() == checksum::digest_chunk_count(size)
+          ? checksum::crc32c_merge_chunk_digests(*hints->digests, size)
+          : checksum::crc32c_chunked(img.image.bytes());
   if (!delta) {
     // Chunk t feeds stripe (me + 1 + t) mod n; each of that stripe's m
     // parity holders receives the same zero-copy slice.
@@ -164,10 +172,10 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
     std::uint8_t encoding = 0;
     buf::Buffer payload;
     if (hints->codec->compress_on() && !diff.empty()) {
-      std::vector<std::byte> lz = lz_compress_block(diff);
-      if (lz.size() < diff.size()) {
+      if (std::optional<std::vector<std::byte>> lz =
+              lz_compress_if_smaller(diff)) {
         encoding = 1;
-        payload = buf::Buffer::wrap(std::move(lz));
+        payload = buf::Buffer::wrap(std::move(*lz));
       }
     }
     if (encoding == 0 && !diff.empty())
@@ -258,10 +266,17 @@ void RsScheme::on_delta_chunk(int src_index, const RsDeltaChunkMsg& msg,
   if (!b.poisoned && b.sizes[static_cast<std::size_t>(rank)] != msg.image_size)
     b.poisoned = true;  // a size change requires a full exchange
   if (!b.poisoned && msg.offsets.size() != msg.lens.size()) b.poisoned = true;
+  StripeParity& seeded = b.stripes[s];
+  // The ranges are wire-supplied: their total must not wrap and must fit
+  // the stripe before it sizes a decompression buffer.
+  std::uint64_t total = 0;
+  for (std::size_t r = 0; !b.poisoned && r < msg.lens.size(); ++r) {
+    if (msg.lens[r] > seeded.parity.size() - total)
+      b.poisoned = true;
+    else
+      total += msg.lens[r];
+  }
   if (!b.poisoned) {
-    StripeParity& seeded = b.stripes[s];
-    std::uint64_t total = 0;
-    for (std::uint64_t l : msg.lens) total += l;
     std::vector<std::byte> raw;
     std::span<const std::byte> diff = payload.bytes();
     if (msg.encoding == 1) {
@@ -280,7 +295,7 @@ void RsScheme::on_delta_chunk(int src_index, const RsDeltaChunkMsg& msg,
       for (std::size_t r = 0; r < msg.offsets.size(); ++r) {
         std::size_t off = static_cast<std::size_t>(msg.offsets[r]);
         std::size_t len = static_cast<std::size_t>(msg.lens[r]);
-        if (off + len > seeded.parity.size()) {
+        if (off > seeded.parity.size() - len) {
           b.poisoned = true;
           break;
         }

@@ -3,10 +3,16 @@
 // invariance, vault v2 delta blobs, and the durable tier's delta chains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "buf/buffer.h"
+#include "checksum/crc32c.h"
 #include "checksum/kernels.h"
 #include "ckpt/codec.h"
 #include "ckpt/tier.h"
@@ -115,6 +121,315 @@ TEST(LzBlock, AdversarialRandomStreamsNeverCrash) {
       EXPECT_EQ(out.size(), 512u);
     } catch (const pup::StreamError&) {
       // expected for most seeds
+    }
+  }
+}
+
+/// A smooth double field (slowly varying lattice values, no noise), built
+/// from integer arithmetic so its bytes are the same on every platform.
+std::vector<std::byte> smooth_field(std::size_t n) {
+  std::vector<double> vals(n / sizeof(double));
+  for (std::size_t i = 0; i < vals.size(); ++i)
+    vals[i] = static_cast<double>((i * i) >> 12) / 65536.0;
+  std::vector<std::byte> out(n);
+  std::memcpy(out.data(), vals.data(), n);
+  return out;
+}
+
+TEST(LzBlock, GoldenStreamsArePinned) {
+  // Frame, parity-diff and L2 blob sizes — and with them every virtual
+  // time — depend on the exact LZ bytes. These CRC32Cs and lengths were
+  // taken from the original byte-loop coder; a faster kernel must keep
+  // them.
+  struct Golden {
+    const char* name;
+    std::vector<std::byte> in;
+    std::uint32_t crc;
+    std::size_t len;
+  };
+  auto abc = [](std::size_t n) {
+    std::vector<std::byte> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+      v[i] = static_cast<std::byte>(0x41 + i % 3);
+    return v;
+  };
+  const std::vector<Golden> golden = {
+      {"abc0", abc(0), 0x00000000u, 0},
+      {"abc1", abc(1), 0x4271E96Du, 2},
+      {"abc2", abc(2), 0x2C919042u, 3},
+      {"abc3", abc(3), 0xA03A41C2u, 4},
+      {"abc4", abc(4), 0xC37BA19Cu, 5},
+      {"abc5", abc(5), 0x2D15767Cu, 6},
+      {"abc6", abc(6), 0x3CA033B2u, 7},
+      {"abc7", abc(7), 0x70FE0497u, 7},
+      {"abc8", abc(8), 0x82958794u, 7},
+      {"zeros64k", std::vector<std::byte>(1 << 16, std::byte{0}),
+       0x4E1740E2u, 795},
+      {"lattice", lattice_bytes(1 << 17, 7), 0xBFB8EDA0u, 6060},
+      {"random", random_bytes(1 << 15, 99), 0x702B62ADu, 36864},
+      {"smooth", smooth_field(1 << 18), 0xA4E81FA0u, 152015},
+  };
+  for (const Golden& g : golden) {
+    std::vector<std::byte> out = lz_compress_block(g.in);
+    EXPECT_EQ(out.size(), g.len) << g.name;
+    EXPECT_EQ(checksum::crc32c(out), g.crc) << g.name;
+    EXPECT_EQ(lz_decompress_block(out, g.in.size()), g.in) << g.name;
+  }
+}
+
+// The original byte-at-a-time coder, kept as the oracle the fast kernel
+// must match byte for byte (and throw for throw).
+namespace reference {
+
+constexpr std::size_t kWindow = 65535;
+constexpr std::size_t kMinMatch = 4;
+constexpr std::size_t kMaxMatch = 259;
+constexpr std::size_t kHashBits = 15;
+
+std::uint32_t hash(const std::byte* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+std::vector<std::byte> compress(std::span<const std::byte> in) {
+  const std::size_t n = in.size();
+  std::vector<std::byte> out;
+  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
+  std::size_t ctrl_pos = 0;
+  int ctrl_used = 8;
+  auto begin_item = [&](bool is_match) {
+    if (ctrl_used == 8) {
+      ctrl_pos = out.size();
+      out.push_back(std::byte{0});
+      ctrl_used = 0;
+    }
+    if (is_match)
+      out[ctrl_pos] |= std::byte{static_cast<unsigned char>(1u << ctrl_used)};
+    ++ctrl_used;
+  };
+  std::size_t p = 0;
+  while (p < n) {
+    std::size_t best_len = 0;
+    std::size_t best_off = 0;
+    if (p + kMinMatch <= n) {
+      std::uint32_t h = hash(in.data() + p);
+      std::int64_t cand = head[h];
+      head[h] = static_cast<std::int64_t>(p);
+      if (cand >= 0) {
+        std::size_t off = p - static_cast<std::size_t>(cand);
+        if (off >= 1 && off <= kWindow) {
+          const std::byte* a = in.data() + p;
+          const std::byte* b = in.data() + static_cast<std::size_t>(cand);
+          std::size_t limit = std::min(kMaxMatch, n - p);
+          std::size_t len = 0;
+          while (len < limit && a[len] == b[len]) ++len;
+          if (len >= kMinMatch) {
+            best_len = len;
+            best_off = off;
+          }
+        }
+      }
+    }
+    if (best_len > 0) {
+      begin_item(true);
+      out.push_back(std::byte{static_cast<unsigned char>(best_off & 0xFF)});
+      out.push_back(std::byte{static_cast<unsigned char>(best_off >> 8)});
+      out.push_back(
+          std::byte{static_cast<unsigned char>(best_len - kMinMatch)});
+      std::size_t stop = std::min(p + best_len, n - kMinMatch + 1);
+      for (std::size_t q = p + 1; q < stop; ++q)
+        head[hash(in.data() + q)] = static_cast<std::int64_t>(q);
+      p += best_len;
+    } else {
+      begin_item(false);
+      out.push_back(in[p]);
+      ++p;
+    }
+  }
+  return out;
+}
+
+std::vector<std::byte> decompress(std::span<const std::byte> in,
+                                  std::size_t out_len) {
+  std::vector<std::byte> out;
+  std::size_t p = 0;
+  std::uint8_t ctrl = 0;
+  int ctrl_left = 0;
+  while (out.size() < out_len) {
+    if (ctrl_left == 0) {
+      if (p >= in.size()) throw pup::StreamError("lz block truncated");
+      ctrl = static_cast<std::uint8_t>(in[p++]);
+      ctrl_left = 8;
+    }
+    bool is_match = (ctrl & 1u) != 0;
+    ctrl >>= 1;
+    --ctrl_left;
+    if (is_match) {
+      if (p + 3 > in.size()) throw pup::StreamError("lz block truncated");
+      std::size_t off = static_cast<std::size_t>(in[p]) |
+                        (static_cast<std::size_t>(in[p + 1]) << 8);
+      std::size_t len = static_cast<std::size_t>(in[p + 2]) + kMinMatch;
+      p += 3;
+      if (off == 0 || off > out.size() || out.size() + len > out_len)
+        throw pup::StreamError("lz block has a bad match token");
+      std::size_t src = out.size() - off;
+      for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+    } else {
+      if (p >= in.size()) throw pup::StreamError("lz block truncated");
+      out.push_back(in[p++]);
+    }
+  }
+  if (p != in.size()) throw pup::StreamError("lz block has trailing garbage");
+  return out;
+}
+
+}  // namespace reference
+
+/// A 300-byte phrase of nonzero bytes repeated `gap` bytes later, zeros
+/// between (zero runs all hash to one slot, so the phrase's table entries
+/// survive until the repeat), then `tail` random bytes.
+std::vector<std::byte> window_edge_input(std::size_t gap, std::size_t tail) {
+  std::vector<std::byte> v(gap + 300 + tail, std::byte{0});
+  std::vector<std::byte> phrase = random_bytes(300, gap);
+  for (auto& b : phrase) b |= std::byte{1};
+  std::copy(phrase.begin(), phrase.end(), v.begin());
+  std::copy(phrase.begin(), phrase.end(), v.begin() + gap);
+  std::vector<std::byte> rest = random_bytes(tail, tail);
+  std::copy(rest.begin(), rest.end(), v.begin() + gap + 300);
+  return v;
+}
+
+/// Inputs that reach every branch of the coder: random and low-entropy
+/// bytes, runs longer than the 259-byte match cap, lattices, repeats at
+/// exactly the window edge (offsets 65535 and 65536), and every n < 4 tail.
+std::vector<std::vector<std::byte>> oracle_inputs() {
+  std::vector<std::vector<std::byte>> inputs;
+  Pcg32 rng(2024, 17);
+  for (std::size_t n = 0; n < 16; ++n) inputs.push_back(random_bytes(n, n));
+  for (int i = 0; i < 1000; ++i) {
+    std::size_t n = rng.bounded(3000);
+    std::vector<std::byte> v(n);
+    switch (i % 5) {
+      case 0:  // uniform random: mostly literals
+        for (auto& b : v) b = static_cast<std::byte>(rng.bounded(256));
+        break;
+      case 1:  // tiny alphabet: short matches and hash collisions
+        for (auto& b : v) b = static_cast<std::byte>(rng.bounded(3));
+        break;
+      case 2:  // long runs broken by noise: max-length and tail matches
+        for (std::size_t j = 0; j < n; ++j)
+          v[j] = rng.bounded(300) == 0
+                     ? static_cast<std::byte>(rng.bounded(256))
+                     : std::byte{static_cast<unsigned char>(j / 700)};
+        break;
+      case 3:  // repeated period-k patterns, k in [1, 24]
+      {
+        std::size_t k = 1 + rng.bounded(24);
+        for (std::size_t j = 0; j < n; ++j)
+          v[j] = j < k ? static_cast<std::byte>(rng.bounded(256)) : v[j - k];
+        if (n > 0)
+          v[rng.bounded(static_cast<std::uint32_t>(n))] ^= std::byte{1};
+        break;
+      }
+      default:
+        v = lattice_bytes(n + 1, static_cast<std::uint64_t>(i));
+        break;
+    }
+    inputs.push_back(std::move(v));
+  }
+  for (std::size_t gap : {std::size_t{65535}, std::size_t{65536}})
+    for (std::size_t tail = 0; tail < 4; ++tail)
+      inputs.push_back(window_edge_input(gap, tail));
+  inputs.push_back(std::vector<std::byte>(70000, std::byte{0}));
+  inputs.push_back(smooth_field(1 << 18));
+  return inputs;
+}
+
+TEST(LzBlock, MatchesTheReferenceCoder) {
+  std::vector<std::vector<std::byte>> inputs = oracle_inputs();
+  ASSERT_GE(inputs.size(), 1000u);
+  // The window edge is really exercised: offset 65535 matches the repeated
+  // phrase, offset 65536 cannot.
+  EXPECT_LT(reference::compress(window_edge_input(65535, 0)).size() + 200,
+            reference::compress(window_edge_input(65536, 0)).size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const std::vector<std::byte>& in = inputs[i];
+    std::vector<std::byte> want = reference::compress(in);
+    ASSERT_EQ(lz_compress_block(in), want) << "input " << i;
+    EXPECT_EQ(lz_decompress_block(want, in.size()), in) << "input " << i;
+    std::optional<std::vector<std::byte>> smaller = lz_compress_if_smaller(in);
+    if (want.size() < in.size()) {
+      ASSERT_TRUE(smaller.has_value()) << "input " << i;
+      EXPECT_EQ(*smaller, want) << "input " << i;
+    } else {
+      EXPECT_FALSE(smaller.has_value()) << "input " << i;
+    }
+  }
+}
+
+TEST(LzBlock, DecoderMatchesTheReferenceOnJunk) {
+  // Random streams, bit-flipped real streams decoded to lengths on both
+  // sides of the truth, and every prefix of real streams: the same
+  // outcome, the same bytes, the same error message (so the same check
+  // fired first).
+  auto outcome = [](auto&& decode, std::span<const std::byte> in,
+                    std::size_t out_len) -> std::pair<bool, std::string> {
+    try {
+      std::vector<std::byte> out = decode(in, out_len);
+      return {true, std::string(reinterpret_cast<const char*>(out.data()),
+                                out.size())};
+    } catch (const pup::StreamError& e) {
+      return {false, e.what()};
+    }
+  };
+  auto fast = [](std::span<const std::byte> in, std::size_t n) {
+    return lz_decompress_block(in, n);
+  };
+  auto slow = [](std::span<const std::byte> in, std::size_t n) {
+    return reference::decompress(in, n);
+  };
+  Pcg32 rng(77, 19);
+  std::vector<std::byte> real = lattice_bytes(2048, 5);
+  std::vector<std::byte> packed = reference::compress(real);
+  std::size_t successes = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<std::byte> junk;
+    std::size_t out_len;
+    if (i % 2 == 0) {
+      junk = random_bytes(rng.bounded(96),
+                          5000 + static_cast<std::uint64_t>(i));
+      out_len = rng.bounded(160);
+    } else {
+      junk = packed;
+      for (int flips = 1 + static_cast<int>(rng.bounded(3)); flips > 0; --flips)
+        junk[rng.bounded(static_cast<std::uint32_t>(junk.size()))] ^=
+            static_cast<std::byte>(1u << rng.bounded(8));
+      if (rng.bounded(4) == 0)
+        junk.resize(rng.bounded(static_cast<std::uint32_t>(junk.size())));
+      out_len = real.size() - 8 + rng.bounded(17);
+    }
+    auto want = outcome(slow, junk, out_len);
+    auto got = outcome(fast, junk, out_len);
+    ASSERT_EQ(got.first, want.first) << "stream " << i;
+    ASSERT_EQ(got.second, want.second) << "stream " << i;
+    successes += want.first;
+  }
+  EXPECT_GT(successes, 0u)
+      << "no junk stream decoded: the oracle saw only throws";
+
+  // Truncation at every cut of literal-heavy, lattice and zero-run
+  // streams: each shape ends inside a different kind of item.
+  for (const std::vector<std::byte>& in :
+       {random_bytes(600, 8), lattice_bytes(600, 9),
+        std::vector<std::byte>(600, std::byte{0})}) {
+    std::vector<std::byte> full = reference::compress(in);
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+      std::span<const std::byte> prefix(full.data(), cut);
+      auto want = outcome(slow, prefix, in.size());
+      auto got = outcome(fast, prefix, in.size());
+      ASSERT_EQ(got.first, want.first) << "cut " << cut;
+      ASSERT_EQ(got.second, want.second) << "cut " << cut;
     }
   }
 }
@@ -259,6 +574,62 @@ TEST(CodecFrame, EncodeIsThreadCountInvariant) {
       EXPECT_EQ(bytes, reference) << "threads=" << threads;
   }
   parallel::set_global_threads(before);
+}
+
+TEST(CodecFrame, ReuseFrameYieldsAByteEqualPayload) {
+  // Same-epoch reuse: the L2 flush encodes the image the buddy frame was
+  // built from (or decoded to), against a different base. Copying the
+  // frame's records must give exactly the payload fresh compression gives,
+  // whichever chunks either frame carries.
+  buf::Buffer base = test_image(10, 5);
+  std::vector<std::byte> mid(base.bytes().begin(), base.bytes().end());
+  mid[checksum::kDigestChunk + 5] ^= std::byte{0x11};
+  std::vector<std::byte> next = mid;
+  next[3 * checksum::kDigestChunk + 9] ^= std::byte{0x22};
+  // Chunk 4 turns incompressible, so the frames carry a raw record too.
+  std::vector<std::byte> noise = random_bytes(checksum::kDigestChunk, 31);
+  std::memcpy(next.data() + 4 * checksum::kDigestChunk, noise.data(),
+              noise.size());
+  buf::Buffer img = buf::Buffer::wrap(std::move(next));
+  buf::Buffer mid_img = buf::Buffer::wrap(std::move(mid));
+
+  std::vector<std::uint32_t> dig = CodecPipeline::digests(img.bytes());
+  std::vector<std::uint32_t> base_dig = CodecPipeline::digests(base.bytes());
+  std::vector<std::uint32_t> mid_dig = CodecPipeline::digests(mid_img.bytes());
+  CodecPipeline pipe(config(true, true));
+  // The buddy frame: a delta against `mid` (chunks 3 and 4 only).
+  CodecFrame buddy = pipe.encode(img, dig, &mid_dig, mid_img.size());
+  ASSERT_EQ(buddy.map.present_chunks(), 2u);
+  CodecFrame full_buddy = pipe.encode_full(img);
+
+  struct Case {
+    const char* name;
+    const std::vector<std::uint32_t>* base;
+    const CodecFrame* reuse;
+  };
+  for (const Case& c : {Case{"delta/delta", &base_dig, &buddy},
+                        Case{"full/delta", nullptr, &buddy},
+                        Case{"delta/full", &base_dig, &full_buddy},
+                        Case{"full/full", nullptr, &full_buddy}}) {
+    CodecFrame fresh = pipe.encode(img, dig, c.base, base.size());
+    CodecFrame reused = pipe.encode(img, dig, c.base, base.size(), c.reuse);
+    EXPECT_EQ(reused.map.present, fresh.map.present) << c.name;
+    EXPECT_EQ(reused.encoding, fresh.encoding) << c.name;
+    EXPECT_TRUE(reused.payload.content_equals(fresh.payload)) << c.name;
+    EXPECT_TRUE(CodecPipeline::decode(reused, base.bytes()).content_equals(img))
+        << c.name;
+  }
+  // Frames that cannot serve are ignored: another image size (same chunk
+  // count, so its records would parse), raw-encoded.
+  CodecFrame other = pipe.encode_full(buf::Buffer::wrap(
+      lattice_bytes(5 * checksum::kDigestChunk + 1000, 11)));
+  ASSERT_EQ(other.map.chunks(), buddy.map.chunks());
+  CodecFrame raw = CodecPipeline(config(true, false)).encode_full(img);
+  for (const CodecFrame* ignored : {&other, &raw}) {
+    CodecFrame reused = pipe.encode(img, dig, &base_dig, base.size(), ignored);
+    EXPECT_TRUE(reused.payload.content_equals(
+        pipe.encode(img, dig, &base_dig, base.size()).payload));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -316,13 +316,11 @@ TEST(CkptRsScheme, ResetForgetsParity) {
   EXPECT_EQ(g.schemes[2]->redundancy_bytes(), 0u);
 }
 
-TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
-  // Epoch 1 exchanges full chunks; epoch 2 ships only the dirty diff with
-  // DeltaHints, and the holders advance their seeded parity by C * diff.
-  // A double loss rebuilt from the delta-built round must still be exact.
-  RsMiniGroup g(4, 4, 2);
-  std::vector<Image> base = exchange_epoch(g, 1, 96);
-
+/// Epoch 2 as a delta round over `base` (epoch 1): every member flips two
+/// bytes (sizes unchanged, so delta stays legal) and ships only the dirty
+/// diff with DeltaHints.
+std::vector<Image> exchange_delta_epoch(RsMiniGroup& g,
+                                        const std::vector<Image>& base) {
   CodecConfig codec;
   codec.delta = DeltaMode::On;
   std::vector<Image> next;
@@ -354,12 +352,72 @@ TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
     hints.base_epoch = 1;
     g.schemes[static_cast<std::size_t>(i)]->on_verified(n, &hints);
   }
+  return next;
+}
+
+TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
+  // Epoch 1 exchanges full chunks; epoch 2 ships only the dirty diff with
+  // DeltaHints, and the holders advance their seeded parity by C * diff.
+  // A double loss rebuilt from the delta-built round must still be exact.
+  RsMiniGroup g(4, 4, 2);
+  std::vector<Image> base = exchange_epoch(g, 1, 96);
+  std::vector<Image> next = exchange_delta_epoch(g, base);
   for (const auto& s : g.schemes) {
     EXPECT_TRUE(s->parity_complete_for(2));
     EXPECT_GT(s->stats().parity_delta_chunks_sent, 0u);
     EXPECT_EQ(s->stats().parity_rounds_poisoned, 0u);
   }
   expect_multi_rebuild(g, next, {0, 2}, 15);
+}
+
+TEST(CkptRsScheme, DeltaRangesPastTheStripePoisonTheRound) {
+  // A delta chunk's range lengths come off the wire and size the holder's
+  // decompression buffer. Lengths past the stripe, or whose sum wraps,
+  // must poison the round: no allocation, no throw, no out-of-bounds fold.
+  struct Bad {
+    const char* name;
+    std::uint8_t encoding;
+    std::vector<std::uint64_t> offsets;
+    std::vector<std::uint64_t> lens;
+  };
+  const std::uint64_t kMax = ~std::uint64_t{0};
+  const std::vector<std::byte> one_byte{std::byte{0x5A}};
+  for (const Bad& bad : {Bad{"past stripe, raw", 0, {0}, {1ull << 40}},
+                         Bad{"past stripe, lz", 1, {0}, {1ull << 40}},
+                         Bad{"wrapping sum, raw", 0, {1, 0}, {kMax, 2}},
+                         Bad{"wrapping sum, lz", 1, {1, 0}, {kMax, 2}}}) {
+    RsMiniGroup g(4, 4, 2);
+    std::vector<Image> base = exchange_epoch(g, 1, 96);
+    // Member 0's first data chunk and that stripe's first parity holder.
+    int s = rs_layout::data_stripe(4, 0, 0);
+    int holder = rs_layout::parity_holder(4, s, 0);
+    RsDeltaChunkMsg msg;
+    msg.epoch = 2;
+    msg.iteration = 20;
+    msg.base_epoch = 1;
+    msg.stripe = s;
+    msg.image_size = base[0].image.size();
+    msg.encoding = bad.encoding;
+    msg.offsets = bad.offsets;
+    msg.lens = bad.lens;
+    // A payload that decodes to the wrapped total (1 byte).
+    buf::Buffer payload = buf::Buffer::wrap(
+        bad.encoding == 1 ? lz_compress_block(one_byte) : one_byte);
+    RsScheme& h = *g.schemes[static_cast<std::size_t>(holder)];
+    EXPECT_NO_THROW(h.on_delta_chunk(0, msg, payload)) << bad.name;
+    // The rest of the round arrives intact (member 0's genuine chunk for
+    // this stripe is a duplicate and ignored): the holder's round
+    // completes poisoned, while holders the bad chunk never reached finish.
+    exchange_delta_epoch(g, base);
+    EXPECT_FALSE(h.parity_complete_for(2)) << bad.name;
+    EXPECT_EQ(h.stats().parity_rounds_poisoned, 1u) << bad.name;
+    for (int i = 0; i < 4; ++i) {
+      if (i == holder) continue;
+      const RsScheme& other = *g.schemes[static_cast<std::size_t>(i)];
+      EXPECT_EQ(other.stats().parity_rounds_poisoned, 0u)
+          << bad.name << " node " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
