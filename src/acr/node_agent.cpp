@@ -514,7 +514,7 @@ void NodeAgent::pack_candidate() {
   // the base epoch's to find dirty chunks. Computed chunk-parallel on the
   // cache-warm image; the grid depends only on the image size, so the
   // digests (and everything downstream) are thread-count invariant.
-  if (codec_on() && env_.config->codec.delta_on())
+  if (env_.config->codec.delta_on())
     cand_digests_ = ckpt::CodecPipeline::digests(image.bytes());
   store_.stage_candidate(epoch_, decided_iteration_, std::move(image));
   ++checkpoints_packed_;
@@ -559,10 +559,7 @@ void NodeAgent::after_pack() {
     }
   } else {
     if (replica_ == 0) {
-      if (codec_on())
-        send_codec_frame_to_buddy();
-      else
-        send_checkpoint_to_buddy(store_.candidate(), kPurposeCompare);
+      send_codec_frame_to_buddy();
       phase_ = Phase::AwaitVerdict;
       return;
     }
@@ -655,13 +652,12 @@ void NodeAgent::send_codec_frame_to_buddy() {
   codec_stats_.chunks_shipped += frame.map.present_chunks();
   codec_stats_.raw_bytes += image.size();
   codec_stats_.wire_bytes += frame.map.map_bytes() + frame.payload.size();
-  if (env_.cluster->trace_enabled(rt::kTraceCodec))
-    env_.cluster->trace().record(
-        now(), rt::TraceKind::DeltaShipped, replica_, index_,
-        "epoch=" + std::to_string(cand.epoch) + " chunks=" +
-            std::to_string(frame.map.present_chunks()) + "/" +
-            std::to_string(frame.map.chunks()) +
-            " bytes=" + std::to_string(frame.payload.size()));
+  env_.cluster->trace().record(
+      now(), rt::TraceKind::DeltaShipped, replica_, index_,
+      "epoch=" + std::to_string(cand.epoch) + " chunks=" +
+          std::to_string(frame.map.present_chunks()) + "/" +
+          std::to_string(frame.map.chunks()) +
+          " bytes=" + std::to_string(frame.payload.size()));
   // The chunk map travels in the pup'd payload and the encoded chunks as
   // the attachment, so bytes_on_wire=-1 charges exactly map + payload —
   // the whole point of the pipeline.
@@ -699,11 +695,10 @@ void NodeAgent::handle_buddy_delta_checkpoint(const rt::Message& m) {
     }
   }
   buddy_base_ = CodecBase{};  // whatever base we held is not trustworthy
-  if (env_.cluster->trace_enabled(rt::kTraceCodec))
-    env_.cluster->trace().record(
-        now(), rt::TraceKind::DeltaFallback, replica_, index_,
-        "epoch=" + std::to_string(msg.epoch) +
-            " base=" + std::to_string(msg.base_epoch));
+  env_.cluster->trace().record(
+      now(), rt::TraceKind::DeltaFallback, replica_, index_,
+      "epoch=" + std::to_string(msg.epoch) +
+          " base=" + std::to_string(msg.base_epoch));
   wire::NeedFullMsg need{0};
   send_to_agent(1 - replica_, index_, wire::kBuddyNeedFull,
                 rt::pack_payload(need));
@@ -804,38 +799,34 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
   if (store_.promote(msg.epoch) == ckpt::PromoteResult::Promoted) {
     // A new verified image exists: let rs parity protect it (local and
     // partner have nothing to do — the buddy already holds its copy).
-    if (!codec_on()) {
-      if (rs_) rs_->on_verified(store_.verified(), nullptr);
-    } else {
-      const ckpt::CodecConfig& codec = env_.config->codec;
-      // The hints point at the PREVIOUS committed image — the delta base —
-      // so they must be built before codec_base_ advances to this epoch.
-      ckpt::DeltaHints hints;
-      hints.codec = &codec;
-      hints.base_image = &codec_base_.image;
-      hints.base_digests = &codec_base_.digests;
-      hints.digests = &cand_digests_;
-      hints.base_epoch = codec_base_.epoch;
-      hints.force_full = parity_force_full_;
-      if (rs_) rs_->on_verified(store_.verified(), &hints);
-      parity_force_full_ = false;
-      if (codec.delta_on()) {
-        // The committed image becomes every channel's next delta base.
-        codec_base_.epoch = msg.epoch;
-        codec_base_.image = store_.verified().image.buffer();
-        codec_base_.digests = std::move(cand_digests_);
-        cand_digests_.clear();
-        if (env_.config->detection == SdcDetection::FullCompare &&
-            !single_replica_ckpt_) {
-          if (replica_ == 0) {
-            // The buddy compared (and therefore holds) this full image.
-            sent_base_epoch_ = msg.epoch;
-          } else if (have_remote_ && remote_image_.size() > 0) {
-            // Cache the buddy's committed image: incoming delta frames are
-            // overlaid on it. Aliases the reconstructed/shipped buffer.
-            buddy_base_.epoch = msg.epoch;
-            buddy_base_.image = remote_image_;
-          }
+    const ckpt::CodecConfig& codec = env_.config->codec;
+    // The hints point at the PREVIOUS committed image — the delta base —
+    // so they must be built before codec_base_ advances to this epoch.
+    ckpt::DeltaHints hints;
+    hints.codec = &codec;
+    hints.base_image = &codec_base_.image;
+    hints.base_digests = &codec_base_.digests;
+    hints.digests = &cand_digests_;
+    hints.base_epoch = codec_base_.epoch;
+    hints.force_full = parity_force_full_;
+    if (rs_) rs_->on_verified(store_.verified(), &hints);
+    parity_force_full_ = false;
+    if (codec.delta_on()) {
+      // The committed image becomes every channel's next delta base.
+      codec_base_.epoch = msg.epoch;
+      codec_base_.image = store_.verified().image.buffer();
+      codec_base_.digests = std::move(cand_digests_);
+      cand_digests_.clear();
+      if (env_.config->detection == SdcDetection::FullCompare &&
+          !single_replica_ckpt_) {
+        if (replica_ == 0) {
+          // The buddy compared (and therefore holds) this full image.
+          sent_base_epoch_ = msg.epoch;
+        } else if (have_remote_ && remote_image_.size() > 0) {
+          // Cache the buddy's committed image: incoming delta frames are
+          // overlaid on it. Aliases the reconstructed/shipped buffer.
+          buddy_base_.epoch = msg.epoch;
+          buddy_base_.image = remote_image_;
         }
       }
     }
@@ -992,56 +983,54 @@ void NodeAgent::start_flush(std::uint64_t epoch, bool urgent) {
   flush_.urgent = urgent;
   flush_.blob.clear();
   flush_.base_epoch = 0;
-  flush_.digests.clear();
-  if (codec_on()) {
-    // Codec path: encode the v2 blob NOW so the chunked drain below
-    // charges the (smaller) encoded size against the L2 channel. The blob
-    // is published verbatim after the last chunk; for the same epoch the
-    // verified image cannot change meanwhile, so pre-encoding is safe.
-    const ckpt::Image& img = store_.verified();
-    const ckpt::CodecConfig& codec = env_.config->codec;
-    // The commit that made this image verified kept its candidate digests
-    // as codec_base_'s; recompute only when that base is another image.
-    std::vector<std::uint32_t> digests;
-    if (codec.delta_on())
-      digests = codec_base_.epoch == epoch &&
-                        codec_base_.digests.size() ==
-                            checksum::digest_chunk_count(img.image.size()) &&
-                        codec_base_.image.content_equals(img.image.buffer())
-                    ? codec_base_.digests
-                    : ckpt::CodecPipeline::digests(img.image.bytes());
-    // Delta against the newest blob this node published, while that chain
-    // stays fetchable and short (a bounded chain bounds both fetch cost
-    // and the blast radius of a lost ancestor).
-    bool base_ok = codec.delta_on() && l2_base_epoch_ != 0 &&
-                   l2_base_epoch_ < epoch &&
-                   l2_base_bytes_ == img.image.size() &&
-                   env_.tier->has(replica_, index_, l2_base_epoch_) &&
-                   env_.tier->chain_length(replica_, index_, l2_base_epoch_) <
-                       ckpt::kTierMaxChain;
-    if (base_ok || codec.compress_on()) {
-      ckpt::CodecPipeline pipe(codec);
-      ckpt::DeltaBlob blob;
-      blob.epoch = epoch;
-      blob.iteration = img.iteration;
-      blob.base_epoch = base_ok ? l2_base_epoch_ : 0;
-      // This epoch's buddy frame already compressed the chunks it carries.
-      const ckpt::CodecFrame* reuse =
-          flush_reuse_ && flush_reuse_->epoch == epoch &&
-                  flush_reuse_->image.content_equals(img.image.buffer())
-              ? &flush_reuse_->frame
-              : nullptr;
-      blob.frame = pipe.encode(img.image.buffer(), digests,
-                               base_ok ? &l2_base_digests_ : nullptr,
-                               l2_base_bytes_, reuse);
-      flush_.blob = ckpt::encode_delta_image(blob);
-      flush_.base_epoch = blob.base_epoch;
-    }
-    flush_reuse_.reset();
-    // Without a base and without compression the legacy v1 blob is
-    // strictly smaller than a raw v2 frame; flush_.blob stays empty.
-    flush_.digests = std::move(digests);
+  // Encode the v2 blob NOW so the chunked drain below charges the
+  // (smaller) encoded size against the L2 channel. The blob is published
+  // verbatim after the last chunk; for the same epoch the verified image
+  // cannot change meanwhile, so pre-encoding is safe.
+  const ckpt::Image& img = store_.verified();
+  const ckpt::CodecConfig& codec = env_.config->codec;
+  // The commit that made this image verified kept its candidate digests
+  // as codec_base_'s; recompute only when that base is another image.
+  std::vector<std::uint32_t> digests;
+  if (codec.delta_on())
+    digests = codec_base_.epoch == epoch &&
+                      codec_base_.digests.size() ==
+                          checksum::digest_chunk_count(img.image.size()) &&
+                      codec_base_.image.content_equals(img.image.buffer())
+                  ? codec_base_.digests
+                  : ckpt::CodecPipeline::digests(img.image.bytes());
+  // Delta against the newest blob this node published, while that chain
+  // stays fetchable and short (a bounded chain bounds both fetch cost
+  // and the blast radius of a lost ancestor).
+  bool base_ok = codec.delta_on() && l2_base_epoch_ != 0 &&
+                 l2_base_epoch_ < epoch &&
+                 l2_base_bytes_ == img.image.size() &&
+                 env_.tier->has(replica_, index_, l2_base_epoch_) &&
+                 env_.tier->chain_length(replica_, index_, l2_base_epoch_) <
+                     ckpt::kTierMaxChain;
+  if (base_ok || codec.compress_on()) {
+    ckpt::CodecPipeline pipe(codec);
+    ckpt::DeltaBlob blob;
+    blob.epoch = epoch;
+    blob.iteration = img.iteration;
+    blob.base_epoch = base_ok ? l2_base_epoch_ : 0;
+    // This epoch's buddy frame already compressed the chunks it carries.
+    const ckpt::CodecFrame* reuse =
+        flush_reuse_ && flush_reuse_->epoch == epoch &&
+                flush_reuse_->image.content_equals(img.image.buffer())
+            ? &flush_reuse_->frame
+            : nullptr;
+    blob.frame = pipe.encode(img.image.buffer(), digests,
+                             base_ok ? &l2_base_digests_ : nullptr,
+                             l2_base_bytes_, reuse);
+    flush_.blob = ckpt::encode_delta_image(blob);
+    flush_.base_epoch = blob.base_epoch;
   }
+  flush_reuse_.reset();
+  // Without a base and without compression (codec off included) the
+  // legacy v1 blob is strictly smaller than a raw v2 frame; flush_.blob
+  // stays empty.
+  flush_.digests = std::move(digests);
   flush_.remaining =
       flush_.blob.empty()
           ? ckpt::encoded_image_bytes(store_.verified().image.size())
@@ -1095,7 +1084,7 @@ void NodeAgent::flush_next_chunk(std::uint64_t seq) {
         img.image = store_.verified().image;
         env_.tier->publish(replica_, index_, img);
       }
-      if (codec_on() && env_.config->codec.delta_on()) {
+      if (env_.config->codec.delta_on()) {
         // This blob (v1 or v2 alike) anchors the next flush's delta.
         l2_base_epoch_ = flush_.epoch;
         l2_base_digests_ = std::move(flush_.digests);

@@ -144,13 +144,12 @@ class NodeAgent final : public rt::NodeService {
   void handle_buddy_checksum(const rt::Message& m);
   void handle_send_to_buddy(const rt::Message& m, bool candidate);
 
-  // Codec pipeline (ckpt/codec.h) plumbing. All of it is inert when
-  // --ckpt-delta=off --ckpt-compress=none: codec_on() gates every call
-  // site, which is what keeps codec-off runs byte-identical.
-  bool codec_on() const { return env_.config->codec.enabled(); }
+  // Codec pipeline (ckpt/codec.h) plumbing. With --ckpt-delta=off
+  // --ckpt-compress=none every path reduces to the legacy one: no chunk
+  // digests are kept, no frame is built, and no v2 blob is encoded.
   /// Ship the candidate to the buddy as a codec frame (dirty chunks and/or
   /// compressed), or fall back to the legacy full transfer when no frame
-  /// is possible.
+  /// is possible (always, with both codec stages off).
   void send_codec_frame_to_buddy();
   void handle_buddy_delta_checkpoint(const rt::Message& m);
   void handle_buddy_need_full(const wire::NeedFullMsg& msg);

@@ -69,7 +69,7 @@ void AcrRuntime::arm_burst_injection() {
   // Lifecycle events (spare deaths, repairs, pool minima) only exist under
   // burst injection; enabling their trace here keeps burst-free runs
   // byte-identical to the pre-lifecycle framework.
-  cluster_->enable_spare_lifecycle_trace();
+  cluster_->enable_trace(rt::kTraceSpareLifecycle);
   schedule_next_burst(engine_.now());
 }
 
@@ -111,9 +111,6 @@ void AcrRuntime::setup() {
       engine_.schedule_at(acr_config_.halt_after,
                           [this]() { manager_->request_drain(); });
   }
-  // Same discipline for the codec: its trace kinds only fire when a codec
-  // stage is on, so codec-off traces stay byte-identical.
-  if (acr_config_.codec.enabled()) cluster_->enable_trace(rt::kTraceCodec);
   cluster_->start_application();
   if (fault_plan_.arrivals) schedule_next_fault(0.0);
   if (burst_config_.enabled()) arm_burst_injection();
@@ -169,8 +166,10 @@ void AcrRuntime::inject_fault() {
     if (node.num_tasks() == 0) return;
     int slot = static_cast<int>(fault_rng_.bounded(
         static_cast<std::uint32_t>(node.num_tasks())));
+    // Flips land in the floating point user data that dominates
+    // checkpoints, as in the paper.
     std::optional<failure::BitFlip> flip = failure::try_inject_sdc(
-        node.task(slot), fault_rng_, fault_plan_.flip_policy);
+        node.task(slot), fault_rng_, failure::FlipPolicy::FloatingPointOnly);
     if (!flip) return;  // victim holds no eligible state (e.g. bare spare)
     ++sdc_injected_;
     cluster_->trace().record(engine_.now(), rt::TraceKind::SdcInjected,

@@ -35,12 +35,6 @@ struct FaultPlan {
   double sdc_fraction = 0.5;
   /// Stop injecting after this time (0 = no limit).
   double horizon = 0.0;
-  /// Where flips may land. Default mirrors the paper: the floating point
-  /// user data that dominates checkpoints. AnyPayload additionally strikes
-  /// counters/indices — corruption the framework detects at the next
-  /// comparison, but which can also derail the victim's control flow in
-  /// ways no checkpoint-based scheme can mask.
-  failure::FlipPolicy flip_policy = failure::FlipPolicy::FloatingPointOnly;
 };
 
 struct RunSummary {

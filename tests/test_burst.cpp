@@ -240,7 +240,7 @@ bool trace_contains(AcrRuntime& runtime, rt::TraceKind kind,
 TEST(SpareLifecycle, PooledSpareCanFailIdle) {
   Sim sim(burst_acr_config(), 2, 11);
   rt::Cluster& cl = sim.runtime.cluster();
-  cl.enable_spare_lifecycle_trace();
+  cl.enable_trace(rt::kTraceSpareLifecycle);
   int spare_pid = -1;
   for (int pid = 0; pid < cl.num_hardware_nodes(); ++pid)
     if (cl.is_pooled_spare(pid)) spare_pid = pid;
@@ -265,7 +265,7 @@ TEST(SpareLifecycle, PooledSpareCanFailIdle) {
 TEST(SpareLifecycle, PromotedThenRepairedNodeIsNotDoubleCounted) {
   Sim sim(burst_acr_config(), 1, 12);
   rt::Cluster& cl = sim.runtime.cluster();
-  cl.enable_spare_lifecycle_trace();
+  cl.enable_trace(rt::kTraceSpareLifecycle);
   double mid = reference().finish_time * 0.4;
   sim.runtime.engine().schedule_at(mid, [&sim] {
     sim.runtime.cluster().kill_role(0, 2);
