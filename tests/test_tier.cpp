@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 
 #include "acr/runtime.h"
@@ -205,6 +206,44 @@ TEST(TierLadder, BuddyPairLossBeforeAnyFlushFallsBackToScratch) {
   ASSERT_TRUE(s.complete);
   EXPECT_GE(s.scratch_restarts, 1u);
   EXPECT_EQ(s.l2_fetch_waves, 0u);
+  sim.runtime.engine().run_until(s.finish_time + 0.05);
+  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+}
+
+TEST(TierLadder, BlobVanishingMidFetchRestartsGenuinelyFromScratch) {
+  // The fetch wave targets the newest complete epoch; if its blobs vanish
+  // while the nodes are reading them, each read reports kFetchFailed and
+  // the wave degrades to a genuine scratch restart — re-fetching would
+  // target the same incomplete epoch.
+  Sim sim(tier_acr_config(), 4, 31);
+  double mid = reference().finish_time * 0.5;
+  sim.runtime.engine().schedule_at(mid, [&sim] {
+    sim.runtime.cluster().kill_role(0, 4);
+    sim.runtime.cluster().kill_role(1, 4);
+  });
+  // Prune the wave's epoch the moment the first node starts its L2 read.
+  std::uint64_t pruned_epoch = 0;
+  std::function<void()> watch = [&] {
+    for (const auto& e : sim.runtime.trace().events()) {
+      // Node reads only: the manager's wave record carries replica -1.
+      if (e.kind != rt::TraceKind::FetchStarted || e.replica < 0) continue;
+      pruned_epoch = sim.runtime.manager().verified_epoch();
+      sim.runtime.tier()->prune(pruned_epoch + 1);
+      return;
+    }
+    if (sim.runtime.engine().now() < mid + 0.01)
+      sim.runtime.engine().schedule_after(1e-6, watch);
+  };
+  sim.runtime.engine().schedule_at(mid, watch);
+  RunSummary s = sim.runtime.run(60.0);
+  ASSERT_NE(pruned_epoch, 0u) << "no fetch wave started";
+  EXPECT_FALSE(sim.runtime.tier()->has(0, 0, pruned_epoch));
+  ASSERT_TRUE(s.complete);
+  EXPECT_EQ(s.l2_fetch_waves, 1u);
+  EXPECT_EQ(s.scratch_restarts, 1u);
+  EXPECT_FALSE(trace_contains(sim.runtime, rt::TraceKind::FetchCompleted));
+  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::Rollback,
+                             "restart from scratch"));
   sim.runtime.engine().run_until(s.finish_time + 0.05);
   EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
 }
