@@ -525,6 +525,7 @@ void Cluster::route_reliable(int src_endpoint, int dst_endpoint, Message m,
   WireMsg w;
   w.latency = service_latency(inter, wire_bytes);
   w.crc = checksum::buffer_crc32c(m.payload);
+  w.sent_at = engine_.now();
   w.m = std::move(m);
   outbox_ = std::move(w);
   transport_.send(link, outbox_->latency);
@@ -627,7 +628,6 @@ void Cluster::purge_rx(int endpoint) {
 
 void Cluster::link_gave_up(net::LinkKey link,
                            net::ReliableTransport::Seq seq) {
-  (void)seq;
   ++net_counters_.link_failures;
   auto decode = [this](int ep, int& replica, int& node) {
     if (ep == kManagerEndpoint) {
@@ -647,7 +647,10 @@ void Cluster::link_gave_up(net::LinkKey link,
   // Between two live endpoints it is a genuine link failure: report it
   // out-of-band (the RAS channel) so the manager can degrade gracefully.
   if (!endpoint_alive(link.src) || !endpoint_alive(link.dst)) return;
-  if (link_failure_hook_) link_failure_hook_(sr, sn, dr, dn);
+  // The frame is released only after this hook returns.
+  auto it = wire_store_.find(std::make_pair(link, seq));
+  double sent_at = it != wire_store_.end() ? it->second.sent_at : 0.0;
+  if (link_failure_hook_) link_failure_hook_(sr, sn, dr, dn, sent_at);
 }
 
 Pcg32 Cluster::make_rng(std::uint64_t salt) const {
