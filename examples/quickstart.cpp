@@ -47,10 +47,10 @@ class HeatRodTask final : public acr::apps::IterativeTask {
   }
 
   double compute_phase(std::uint64_t, int,
-                       const std::map<int, std::vector<double>>& msgs)
-      override {
-    double left = id_ == 0 ? 100.0 : msgs.at(-1)[0];
-    double right = id_ == num_tasks_ - 1 ? 0.0 : msgs.at(+1)[0];
+                       std::span<const acr::apps::PhaseInput> msgs) override {
+    double left = 100.0;  // boundary values, replaced by neighbours' edges
+    double right = 0.0;
+    for (const auto& [sender, data] : msgs) (sender < 0 ? left : right) = data[0];
     std::vector<double> next(u_.size());
     for (std::size_t i = 0; i < u_.size(); ++i) {
       double l = i == 0 ? left : u_[i - 1];

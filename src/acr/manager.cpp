@@ -219,6 +219,7 @@ void Manager::handle_verdict(const wire::VerdictMsg& msg) {
 void Manager::commit_checkpoint() {
   verified_epoch_ = ckpt_->epoch;
   ++committed_;
+  link_relaunches_ = 0;
   trace().record(now(), rt::TraceKind::CheckpointCommitted, -1, -1,
                  "epoch=" + std::to_string(ckpt_->epoch));
   wire::EpochMsg msg{ckpt_->epoch};
@@ -562,6 +563,17 @@ void Manager::handle_link_failure(int src_replica, int src_node,
     return r < 0 || env_.cluster->role_alive(r, i);
   };
   if (!alive(src_replica, src_node) || !alive(dst_replica, dst_node)) return;
+  if (link_relaunches_ == kMaxLinkRelaunches) {
+    // The wire loses more than the retry budget covers: every relaunch
+    // dies the same way before it can commit, so relaunching again would
+    // only spin until the virtual timeout.
+    failed_ = true;
+    trace().record(now(), rt::TraceKind::JobComplete, -1, -1,
+                   "FAILED: " + std::to_string(kMaxLinkRelaunches) +
+                       " link-failure relaunches without a commit");
+    return;
+  }
+  ++link_relaunches_;
   log_warn("acr.manager") << "link (" << src_replica << "," << src_node
                           << ") -> (" << dst_replica << "," << dst_node
                           << ") exhausted its retry budget; degrading to "

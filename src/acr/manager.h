@@ -157,7 +157,8 @@ class Manager {
   /// its retry budget. Per-link protocol state is unrecoverable, so the job
   /// falls back to a scratch restart (reported out-of-band by the RAS) —
   /// unless the frame (first sent at `sent_at`) predates the newest
-  /// relaunch, whose timeline no longer needs it.
+  /// relaunch, whose timeline no longer needs it. After
+  /// kMaxLinkRelaunches such relaunches without a commit the job fails.
   void handle_link_failure(int src_replica, int src_node, int dst_replica,
                            int dst_node, double sent_at);
   void escalate_rollback_all();
@@ -250,6 +251,10 @@ class Manager {
   std::uint64_t verified_epoch_ = 0;
   /// Virtual time of the newest relaunch (scratch restart or fetch wave).
   double relaunched_at_ = 0.0;
+  /// Link-failure relaunches since the newest commit. The job fails at the
+  /// next link failure once kMaxLinkRelaunches of them found no commit.
+  static constexpr int kMaxLinkRelaunches = 5;
+  int link_relaunches_ = 0;
   /// Epoch of the in-flight final verification checkpoint (0 = none).
   std::uint64_t final_verify_epoch_ = 0;
 

@@ -69,13 +69,11 @@ void HpccgTask::send_phase(std::uint64_t iter, int phase) {
     for (int dir = -1; dir <= 1; dir += 2) {
       int nbr = task_id_ + dir;
       if (nbr < 0 || nbr >= cfg_.num_tasks) continue;
-      std::vector<double> face(plane());
       std::size_t k = dir < 0 ? 0 : static_cast<std::size_t>(cfg_.nz - 1);
-      for (std::size_t n = 0; n < plane(); ++n)
-        face[n] = p_[plane() + k * plane() + n];
       // The receiver sees this plane arriving from the opposite direction.
       send_phase_msg(addr_of(nbr), iter, phase, /*sender=*/-dir,
-                     std::move(face));
+                     std::span<const double>(p_).subspan(
+                         plane() + k * plane(), plane()));
     }
     return;
   }
@@ -84,11 +82,9 @@ void HpccgTask::send_phase(std::uint64_t iter, int phase) {
   int stage = (phase - 1) % stages_;
   int partner = task_id_ ^ (1 << stage);
   bool first_ladder = phase <= stages_;
-  std::vector<double> payload =
-      first_ladder ? std::vector<double>{red1_[0], red1_[1]}
-                   : std::vector<double>{red2_};
   send_phase_msg(addr_of(partner), iter, phase, /*sender=*/partner,
-                 std::move(payload));
+                 first_ladder ? std::span<const double>(red1_)
+                              : std::span<const double>(&red2_, 1));
 }
 
 int HpccgTask::expected_in_phase(std::uint64_t, int phase) const {
@@ -151,8 +147,8 @@ void HpccgTask::apply_beta_update() {
   ++cg_steps_done_;
 }
 
-double HpccgTask::compute_phase(
-    std::uint64_t, int phase, const std::map<int, std::vector<double>>& msgs) {
+double HpccgTask::compute_phase(std::uint64_t, int phase,
+                                std::span<const PhaseInput> msgs) {
   if (phase == 0) {
     // Install halos: sender -1 = data from the lower neighbor (our k=-1
     // ghost plane), +1 = upper neighbor (k=nz ghost plane).
@@ -182,7 +178,7 @@ double HpccgTask::compute_phase(
 
   bool first_ladder = phase <= stages_;
   ACR_REQUIRE(msgs.size() == 1, "butterfly stage expects one partner message");
-  const std::vector<double>& v = msgs.begin()->second;
+  std::span<const double> v = msgs[0].data;
   double flops = 4.0;
   if (first_ladder) {
     red1_[0] += v[0];

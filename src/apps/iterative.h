@@ -14,14 +14,19 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <cstring>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
+#include "common/require.h"
 #include "rt/task.h"
 
 namespace acr::apps {
 
-/// Payload of every app message.
+/// Payload of every app message. IterativeTask writes and reads this
+/// stream in place (send_phase_msg, on_message); pack_payload(PhaseMsg)
+/// produces the same bytes.
 struct PhaseMsg {
   std::uint64_t iter = 0;   ///< iteration the data belongs to (1-based)
   std::int32_t phase = 0;   ///< sub-phase within the iteration
@@ -34,6 +39,12 @@ struct PhaseMsg {
     p | sender;
     p | data;
   }
+};
+
+/// One received message of a phase, as compute_phase sees it.
+struct PhaseInput {
+  std::int32_t sender = 0;
+  std::span<const double> data;
 };
 
 class IterativeTask : public rt::Task {
@@ -63,10 +74,11 @@ class IterativeTask : public rt::Task {
   virtual int expected_in_phase(std::uint64_t iter, int phase) const = 0;
 
   /// Perform the real computation for the phase using the received
-  /// messages (keyed by sender). Returns the *virtual* compute cost in
+  /// messages, one per sender in ascending sender order. The spans are
+  /// valid for this call only. Returns the *virtual* compute cost in
   /// seconds charged to the clock. Must be deterministic.
   virtual double compute_phase(std::uint64_t iter, int phase,
-                               const std::map<int, std::vector<double>>& msgs) = 0;
+                               std::span<const PhaseInput> msgs) = 0;
 
   virtual int num_phases() const { return 1; }
 
@@ -74,11 +86,58 @@ class IterativeTask : public rt::Task {
   /// compute_phase mutates).
   virtual void pup_state(pup::Puper& p) = 0;
 
-  /// Send helper for subclasses (wraps PhaseMsg + ctx->send).
+  /// Sequential writer over the doubles of a PhaseMsg being packed.
+  class DoubleWriter {
+   public:
+    explicit DoubleWriter(std::span<std::byte> out)
+        : at_(out.data()), end_(out.data() + out.size()) {}
+    void put(double v) {
+      ACR_ASSERT(at_ + sizeof v <= end_);
+      std::memcpy(at_, &v, sizeof v);  // the stream is unaligned
+      at_ += sizeof v;
+    }
+    bool full() const { return at_ == end_; }
+
+   private:
+    std::byte* at_;
+    std::byte* end_;
+  };
+
+  /// Send helper for subclasses: packs the PhaseMsg stream for `count`
+  /// doubles straight into the payload arena, where `fill(DoubleWriter&)`
+  /// puts exactly `count` values, then sends it.
+  template <typename Fill>
   void send_phase_msg(rt::TaskAddr dst, std::uint64_t iter, int phase,
-                      int sender_key, std::vector<double> data);
+                      int sender_key, std::size_t count, Fill&& fill) {
+    DoubleWriter w(begin_phase_msg(iter, phase, sender_key, count));
+    fill(w);
+    ACR_REQUIRE(w.full(), "send_phase_msg: fill wrote the wrong count");
+    finish_phase_msg(dst);
+  }
+  void send_phase_msg(rt::TaskAddr dst, std::uint64_t iter, int phase,
+                      int sender_key, std::span<const double> data);
+  void send_phase_msg(rt::TaskAddr dst, std::uint64_t iter, int phase,
+                      int sender_key, std::initializer_list<double> data) {
+    send_phase_msg(dst, iter, phase, sender_key,
+                   std::span<const double>(data.begin(), data.size()));
+  }
 
  private:
+  /// One buffered message: its key and its doubles.
+  struct Arrival {
+    std::uint64_t iter = 0;
+    std::int32_t phase = 0;
+    std::int32_t sender = 0;
+    std::vector<double> data;
+  };
+
+  std::span<std::byte> begin_phase_msg(std::uint64_t iter, int phase,
+                                       int sender_key, std::size_t count);
+  void finish_phase_msg(rt::TaskAddr dst);
+  /// File a message under its (iter, phase, sender); a duplicate replaces
+  /// the copy it repeats.
+  void store(Arrival a);
+  void pup_inbox(pup::Puper& p);
   void begin_phase();
   void try_compute();
   void finish_phase();
@@ -93,12 +152,13 @@ class IterativeTask : public rt::Task {
   bool initialized_ = false;
   bool computing_ = false;  ///< transient; always false at iteration ends
 
-  /// Early-arrival buffer: (iter, phase) -> sender -> payload. Part of the
+  /// Early-arrival buffer, flat and sorted by (iter, phase, sender): each
+  /// (iter, phase) is a run of slots, one per sender. Part of the
   /// checkpoint (empty at consistent cuts for lock-step apps, but the
-  /// framework does not rely on that).
-  std::map<std::pair<std::uint64_t, std::int32_t>,
-           std::map<std::int32_t, std::vector<double>>>
-      buffer_;
+  /// framework does not rely on that), where it packs exactly like the
+  /// std::map<(iter, phase), std::map<sender, std::vector<double>>> it
+  /// replaced.
+  std::vector<Arrival> inbox_;
 };
 
 }  // namespace acr::apps

@@ -74,19 +74,31 @@ int Jacobi3DTask::neighbor_task(int face) const {
   return nx + cfg_.tasks_x * (ny + cfg_.tasks_y * nz);
 }
 
-std::vector<double> Jacobi3DTask::extract_face(int face) const {
-  std::vector<double> out;
+std::size_t Jacobi3DTask::face_points(int face) const {
+  auto bx = static_cast<std::size_t>(cfg_.block_x);
+  auto by = static_cast<std::size_t>(cfg_.block_y);
+  auto bz = static_cast<std::size_t>(cfg_.block_z);
+  switch (face) {
+    case XLo:
+    case XHi: return by * bz;
+    case YLo:
+    case YHi: return bx * bz;
+    default: return bx * by;
+  }
+}
+
+void Jacobi3DTask::write_face(int face, DoubleWriter& out) const {
   auto push_plane_x = [&](int i) {
     for (int k = 0; k < cfg_.block_z; ++k)
-      for (int j = 0; j < cfg_.block_y; ++j) out.push_back(u_[idx(i, j, k)]);
+      for (int j = 0; j < cfg_.block_y; ++j) out.put(u_[idx(i, j, k)]);
   };
   auto push_plane_y = [&](int j) {
     for (int k = 0; k < cfg_.block_z; ++k)
-      for (int i = 0; i < cfg_.block_x; ++i) out.push_back(u_[idx(i, j, k)]);
+      for (int i = 0; i < cfg_.block_x; ++i) out.put(u_[idx(i, j, k)]);
   };
   auto push_plane_z = [&](int k) {
     for (int j = 0; j < cfg_.block_y; ++j)
-      for (int i = 0; i < cfg_.block_x; ++i) out.push_back(u_[idx(i, j, k)]);
+      for (int i = 0; i < cfg_.block_x; ++i) out.put(u_[idx(i, j, k)]);
   };
   switch (face) {
     case XLo: push_plane_x(0); break;
@@ -96,10 +108,9 @@ std::vector<double> Jacobi3DTask::extract_face(int face) const {
     case ZLo: push_plane_z(0); break;
     case ZHi: push_plane_z(cfg_.block_z - 1); break;
   }
-  return out;
 }
 
-void Jacobi3DTask::apply_halo(int face, const std::vector<double>& data) {
+void Jacobi3DTask::apply_halo(int face, std::span<const double> data) {
   std::size_t n = 0;
   auto pull_plane_x = [&](int i_ghost) {
     for (int k = 0; k < cfg_.block_z; ++k)
@@ -133,7 +144,8 @@ void Jacobi3DTask::send_phase(std::uint64_t iter, int phase) {
     if (nbr < 0) continue;
     rt::TaskAddr dst{nbr / cfg_.slots_per_node, nbr % cfg_.slots_per_node};
     // The receiver sees this data arriving on its opposite face.
-    send_phase_msg(dst, iter, phase, opposite(face), extract_face(face));
+    send_phase_msg(dst, iter, phase, opposite(face), face_points(face),
+                   [&](DoubleWriter& out) { write_face(face, out); });
   }
 }
 
@@ -144,8 +156,8 @@ int Jacobi3DTask::expected_in_phase(std::uint64_t, int) const {
   return n;
 }
 
-double Jacobi3DTask::compute_phase(
-    std::uint64_t, int, const std::map<int, std::vector<double>>& msgs) {
+double Jacobi3DTask::compute_phase(std::uint64_t, int,
+                                   std::span<const PhaseInput> msgs) {
   for (const auto& [face, data] : msgs) apply_halo(face, data);
   const double inv6 = 1.0 / 6.0;
   for (int k = 0; k < cfg_.block_z; ++k) {

@@ -67,7 +67,7 @@ class Jacobi3DTask final : public IterativeTask {
   void send_phase(std::uint64_t iter, int phase) override;
   int expected_in_phase(std::uint64_t iter, int phase) const override;
   double compute_phase(std::uint64_t iter, int phase,
-                       const std::map<int, std::vector<double>>& msgs) override;
+                       std::span<const PhaseInput> msgs) override;
   void pup_state(pup::Puper& p) override;
 
  private:
@@ -78,8 +78,11 @@ class Jacobi3DTask final : public IterativeTask {
 
   int neighbor_task(int face) const;  ///< -1 at the domain boundary
   void zero_ghost_planes();
-  std::vector<double> extract_face(int face) const;
-  void apply_halo(int face, const std::vector<double>& data);
+  /// Points on one face of the block.
+  std::size_t face_points(int face) const;
+  /// Write the boundary plane on side `face` into an outgoing message.
+  void write_face(int face, DoubleWriter& out) const;
+  void apply_halo(int face, std::span<const double> data);
 
   std::size_t idx(int i, int j, int k) const {
     // Ghost layer of one point on each side.

@@ -90,8 +90,7 @@ void LeanMdTask::send_phase(std::uint64_t iter, int phase) {
         data.insert(data.end(), {static_cast<double>(ids_[a]), x_[a], y_[a],
                                  z_[a], vx_[a], vy_[a], vz_[a]});
       }
-      send_phase_msg(addr_of(nbr), iter, phase, /*sender=*/-dir,
-                     std::move(data));
+      send_phase_msg(addr_of(nbr), iter, phase, /*sender=*/-dir, data);
     }
     return;
   }
@@ -112,8 +111,7 @@ int LeanMdTask::expected_in_phase(std::uint64_t, int) const {
   return n;
 }
 
-double LeanMdTask::force_and_integrate(
-    const std::map<int, std::vector<double>>& ghosts) {
+double LeanMdTask::force_and_integrate(std::span<const PhaseInput> ghosts) {
   std::size_t n = ids_.size();
   std::vector<double> fx(n, 0.0), fy(n, 0.0), fz(n, 0.0);
   double cutoff2 = cfg_.cutoff * cfg_.cutoff;
@@ -195,8 +193,8 @@ double LeanMdTask::force_and_integrate(
   return pairs;
 }
 
-double LeanMdTask::compute_phase(
-    std::uint64_t, int phase, const std::map<int, std::vector<double>>& msgs) {
+double LeanMdTask::compute_phase(std::uint64_t, int phase,
+                                 std::span<const PhaseInput> msgs) {
   if (phase == 0) {
     double pairs = force_and_integrate(msgs);
     return (pairs + static_cast<double>(ids_.size())) * cfg_.seconds_per_pair;

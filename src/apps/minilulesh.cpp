@@ -64,13 +64,12 @@ void MiniLuleshTask::send_phase(std::uint64_t iter, int phase) {
       int nbr = task_id_ + dir;
       if (nbr < 0 || nbr >= cfg_.num_tasks) continue;
       std::size_t base = dir < 0 ? 0 : (nodes_per_task() - node_plane());
-      std::vector<double> data;
-      data.reserve(3 * node_plane());
-      for (std::size_t n = 0; n < node_plane(); ++n) data.push_back(vx_[base + n]);
-      for (std::size_t n = 0; n < node_plane(); ++n) data.push_back(vy_[base + n]);
-      for (std::size_t n = 0; n < node_plane(); ++n) data.push_back(vz_[base + n]);
       send_phase_msg(addr_of(nbr), iter, phase, /*sender=*/-dir,
-                     std::move(data));
+                     3 * node_plane(), [&](DoubleWriter& out) {
+                       for (const auto* v : {&vx_, &vy_, &vz_})
+                         for (std::size_t n = 0; n < node_plane(); ++n)
+                           out.put((*v)[base + n]);
+                     });
     }
     return;
   }
@@ -90,8 +89,7 @@ int MiniLuleshTask::expected_in_phase(std::uint64_t, int phase) const {
   return 1;
 }
 
-void MiniLuleshTask::hydro_step(
-    const std::map<int, std::vector<double>>& halos) {
+void MiniLuleshTask::hydro_step(std::span<const PhaseInput> halos) {
   const double gamma_eos = 1.4;
   const double qq = 0.06;  // artificial viscosity coefficient
   std::size_t ne = cfg_.elements_per_task();
@@ -99,12 +97,8 @@ void MiniLuleshTask::hydro_step(
   // Ghost velocity planes (zero at the global boundary).
   std::vector<double> ghost_lo(3 * node_plane(), 0.0);
   std::vector<double> ghost_hi(3 * node_plane(), 0.0);
-  for (const auto& [sender, data] : halos) {
-    if (sender < 0)
-      ghost_lo = data;
-    else
-      ghost_hi = data;
-  }
+  for (const auto& [sender, data] : halos)
+    (sender < 0 ? ghost_lo : ghost_hi).assign(data.begin(), data.end());
 
   // Element update: EOS + viscosity from a divergence proxy built out of
   // the nodal velocities around the element.
@@ -173,8 +167,8 @@ void MiniLuleshTask::hydro_step(
   }
 }
 
-double MiniLuleshTask::compute_phase(
-    std::uint64_t, int phase, const std::map<int, std::vector<double>>& msgs) {
+double MiniLuleshTask::compute_phase(std::uint64_t, int phase,
+                                     std::span<const PhaseInput> msgs) {
   if (phase == 0) {
     hydro_step(msgs);
     if (stages_ == 0) dt_ = std::min(local_dt_min_, 1e-2);
@@ -182,7 +176,7 @@ double MiniLuleshTask::compute_phase(
            cfg_.seconds_per_element;
   }
   ACR_REQUIRE(msgs.size() == 1, "dt butterfly expects one partner message");
-  local_dt_min_ = std::min(local_dt_min_, msgs.begin()->second[0]);
+  local_dt_min_ = std::min(local_dt_min_, msgs[0].data[0]);
   if (phase == stages_) dt_ = std::min(local_dt_min_, 1e-2);
   return 1e-7;
 }

@@ -80,8 +80,7 @@ void MiniMdTask::send_phase(std::uint64_t iter, int phase) {
                           : (zhi - z_[a] < cfg_.cutoff);
       if (near) data.insert(data.end(), {x_[a], y_[a], z_[a]});
     }
-    send_phase_msg(addr_of(nbr), iter, phase, /*sender=*/-dir,
-                   std::move(data));
+    send_phase_msg(addr_of(nbr), iter, phase, /*sender=*/-dir, data);
   }
 }
 
@@ -92,8 +91,8 @@ int MiniMdTask::expected_in_phase(std::uint64_t, int) const {
   return n;
 }
 
-double MiniMdTask::compute_phase(
-    std::uint64_t iter, int, const std::map<int, std::vector<double>>& msgs) {
+double MiniMdTask::compute_phase(std::uint64_t iter, int,
+                                 std::span<const PhaseInput> msgs) {
   if (rebuild_step(iter)) {
     rebuild_neighbor_list();
     last_rebuild_iter_ = iter;

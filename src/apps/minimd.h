@@ -44,7 +44,7 @@ class MiniMdTask final : public IterativeTask {
   void send_phase(std::uint64_t iter, int phase) override;
   int expected_in_phase(std::uint64_t iter, int phase) const override;
   double compute_phase(std::uint64_t iter, int phase,
-                       const std::map<int, std::vector<double>>& msgs) override;
+                       std::span<const PhaseInput> msgs) override;
   void pup_state(pup::Puper& p) override;
 
  private:

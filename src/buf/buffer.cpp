@@ -1,5 +1,6 @@
 #include "buf/buffer.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "parallel/pool.h"
@@ -65,40 +66,77 @@ void BufferBuilder::ensure_arena() {
   ++stats_.arena_allocations;
 }
 
+void BufferBuilder::make_room(std::size_t n) {
+  if (chunk_bytes_ == 0) {
+    ensure_arena();
+    return;  // the vector grows as needed
+  }
+  if (arena_ && arena_->size() + n <= arena_->capacity()) return;
+  // Buffers already view this arena, so it must not reallocate: carry the
+  // partial build over to a fresh arena instead.
+  std::shared_ptr<Buffer::Storage> full = std::move(arena_);
+  std::size_t build = full ? full->size() - start_ : 0;
+  ensure_arena();
+  arena_->reserve(std::max(chunk_bytes_, build + n));
+  if (build > 0)
+    arena_->insert(arena_->end(),
+                   full->begin() + static_cast<std::ptrdiff_t>(start_),
+                   full->end());
+  start_ = 0;
+  if (full) retire(std::move(full));
+}
+
 void BufferBuilder::append(const void* data, std::size_t n) {
   if (n == 0) return;
-  ensure_arena();
+  make_room(n);
   const std::byte* p = static_cast<const std::byte*>(data);
   arena_->insert(arena_->end(), p, p + n);
   stats_.bytes_written += n;
 }
 
 void BufferBuilder::reserve(std::size_t n) {
-  ensure_arena();
-  arena_->reserve(n);
+  std::size_t build = size();
+  make_room(n > build ? n - build : 0);
+  arena_->reserve(start_ + n);
 }
 
-Buffer BufferBuilder::take() {
-  ++stats_.buffers_taken;
-  if (!arena_ || arena_->empty()) return Buffer();
-  std::size_t len = arena_->size();
-  Buffer out(arena_, 0, len);
-  // Park the arena for recycling. Prefer an empty slot, then a slot whose
-  // buffers are gone; otherwise drop the builder's claim on the oldest slot
-  // (the storage stays alive for as long as its Buffers need it).
+std::span<std::byte> BufferBuilder::extend(std::size_t n) {
+  make_room(n);
+  std::size_t at = arena_->size();
+  arena_->resize(at + n);
+  stats_.bytes_written += n;
+  return std::span<std::byte>(arena_->data() + at, n);
+}
+
+void BufferBuilder::retire(std::shared_ptr<Buffer::Storage> arena) {
+  // Prefer an empty slot, then a slot whose buffers are gone; otherwise
+  // drop the builder's claim on the oldest slot (the storage stays alive
+  // for as long as its Buffers need it).
   for (auto& slot : retired_) {
     if (!slot) {
-      slot = std::move(arena_);
-      return out;
+      slot = std::move(arena);
+      return;
     }
   }
   for (auto& slot : retired_) {
     if (slot.use_count() == 1) {
-      slot = std::move(arena_);
-      return out;
+      slot = std::move(arena);
+      return;
     }
   }
-  retired_.front() = std::move(arena_);
+  retired_.front() = std::move(arena);
+}
+
+Buffer BufferBuilder::take() {
+  ++stats_.buffers_taken;
+  if (!arena_ || arena_->size() == start_) return Buffer();
+  std::size_t len = arena_->size() - start_;
+  Buffer out(arena_, start_, len);
+  if (chunk_bytes_ > 0) {
+    start_ = arena_->size();  // the next build follows in the same arena
+    return out;
+  }
+  retire(std::move(arena_));
   return out;
 }
 

@@ -113,6 +113,15 @@ class Buffer {
 /// and all — no allocation), or allocates a fresh one. With ACR's double
 /// in-memory checkpoint store (verified + candidate), a pool of a few slots
 /// makes steady-state epochs allocation-free.
+///
+/// Shared-arena mode (a non-zero `chunk_bytes`) serves producers of many
+/// small, short-lived Buffers (message payloads: tens of thousands in
+/// flight at once). Successive builds are packed back to back into one
+/// arena of that capacity, and take() returns a view of just the finished
+/// build, so a payload costs its own bytes and no allocation. An arena
+/// never grows in place once a Buffer views it: a build that does not fit
+/// moves to the next arena, and a full arena is retired, to be reclaimed
+/// once every Buffer in it is gone.
 class BufferBuilder final : public Sink {
  public:
   struct Stats {
@@ -123,6 +132,8 @@ class BufferBuilder final : public Sink {
   };
 
   BufferBuilder() = default;
+  /// Shared-arena mode with arenas of `chunk_bytes` capacity (see above).
+  explicit BufferBuilder(std::size_t chunk_bytes) : chunk_bytes_(chunk_bytes) {}
 
   // The retired pool must not be shared by accident; builders are cheap to
   // create where needed.
@@ -135,27 +146,39 @@ class BufferBuilder final : public Sink {
   }
 
   void append(const void* data, std::size_t n);
+  /// Make room for a current build of `n` bytes in total, up front.
   void reserve(std::size_t n);
+  /// Grow the current build by `n` bytes and return them for the caller to
+  /// fill (unaligned; write through memcpy).
+  std::span<std::byte> extend(std::size_t n);
 
-  /// Bytes written into the arena currently being built.
-  std::size_t size() const { return arena_ ? arena_->size() : 0; }
+  /// Bytes of the current build.
+  std::size_t size() const { return arena_ ? arena_->size() - start_ : 0; }
 
-  /// Seal the current arena into an immutable Buffer and retire it. The
-  /// builder is then empty and ready for the next build.
+  /// Seal the current build into an immutable Buffer (retiring its arena,
+  /// outside shared-arena mode). The builder is then ready for the next
+  /// build.
   Buffer take();
 
   /// Discard the bytes of the current build but keep its arena (capacity).
   void clear() {
-    if (arena_) arena_->clear();
+    if (arena_) arena_->resize(start_);
   }
 
   const Stats& stats() const { return stats_; }
 
  private:
   void ensure_arena();
+  /// Ensure `n` more bytes fit: grows the arena outside shared-arena mode,
+  /// moves the build to a fresh arena within it.
+  void make_room(std::size_t n);
+  /// Park `arena` in the retired pool for a later ensure_arena().
+  void retire(std::shared_ptr<Buffer::Storage> arena);
 
   static constexpr std::size_t kRetiredSlots = 4;
 
+  std::size_t chunk_bytes_ = 0;  ///< 0: one arena per build
+  std::size_t start_ = 0;        ///< offset of the current build in arena_
   std::shared_ptr<Buffer::Storage> arena_;
   std::array<std::shared_ptr<Buffer::Storage>, kRetiredSlots> retired_;
   Stats stats_;

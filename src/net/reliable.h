@@ -39,6 +39,8 @@
 #include <map>
 #include <set>
 
+#include "common/small_function.h"
+
 namespace acr::net {
 
 /// A directed link between two endpoints. Endpoint ids are assigned by the
@@ -88,7 +90,7 @@ class ReliableTransport {
   /// Environment callbacks. All are required.
   struct Hooks {
     /// Schedule `fn` after `delay` seconds; returns a cancellable id.
-    std::function<TimerId(double delay, std::function<void()> fn)> schedule;
+    std::function<TimerId(double delay, SmallFunction fn)> schedule;
     /// Cancel a previously scheduled timer (no-op if already fired).
     std::function<void(TimerId)> cancel;
     /// Put frame `seq` on the wire (attempt 0 = first transmission).

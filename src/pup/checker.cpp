@@ -8,8 +8,6 @@ namespace acr::pup {
 
 namespace {
 
-constexpr std::size_t kHeaderSize = sizeof(std::uint8_t) + sizeof(std::uint64_t);
-
 /// Cursor over one self-describing stream.
 class StreamCursor {
  public:
@@ -25,14 +23,14 @@ class StreamCursor {
 
   Record next(std::size_t elem_size_hint = 0) {
     (void)elem_size_hint;
-    if (pos_ + kHeaderSize > s_.size())
+    if (pos_ + kRecordHeaderBytes > s_.size())
       throw StreamError("malformed stream: truncated record header at offset " +
                         std::to_string(pos_));
     std::uint8_t t = 0;
     std::uint64_t n = 0;
     std::memcpy(&t, s_.data() + pos_, sizeof t);
     std::memcpy(&n, s_.data() + pos_ + sizeof t, sizeof n);
-    pos_ += kHeaderSize;
+    pos_ += kRecordHeaderBytes;
     Tag tag = static_cast<Tag>(t);
     std::size_t payload = static_cast<std::size_t>(n) * payload_elem_size(tag);
     if (pos_ + payload > s_.size())

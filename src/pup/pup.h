@@ -59,6 +59,10 @@ enum class Tag : std::uint8_t {
 
 const char* tag_name(Tag t);
 
+/// Bytes of a record header: the tag (u8) and the element count (u64).
+constexpr std::size_t kRecordHeaderBytes =
+    sizeof(std::uint8_t) + sizeof(std::uint64_t);
+
 /// Per-field comparison behaviour, scoped with push/pop (nestable).
 struct CompareOptions {
   /// Field is replica-variant (timers, pointers-as-ids): never compared.
@@ -297,11 +301,24 @@ class Packer final : public Puper {
   buf::Buffer take_buffer() { return out_->take(); }
   std::size_t bytes_written() const { return out_->size(); }
 
+  /// Zero-copy array(): write the record header of a `count`-element array
+  /// of T and return its payload bytes (unaligned) for the caller to fill.
+  /// The stream is the one array() would write. Not for teed packers,
+  /// whose sink would see the bytes before they are filled.
+  template <typename T>
+  std::span<std::byte> place_array(std::size_t count) {
+    static_assert(std::is_arithmetic_v<T>, "place_array() is for arithmetic types");
+    return place(tag_of<T>(), count, sizeof(T));
+  }
+
  protected:
   void record(Tag tag, void* data, std::size_t count,
               std::size_t elem_size) override;
 
  private:
+  std::span<std::byte> place(Tag tag, std::size_t count,
+                             std::size_t elem_size);
+
   buf::BufferBuilder own_;
   buf::BufferBuilder* out_;
   buf::Sink* tee_ = nullptr;
@@ -326,12 +343,26 @@ class Unpacker final : public Puper {
   /// True once every byte of the stream has been consumed.
   bool exhausted() const { return pos_ == in_.size(); }
 
+  /// Zero-copy array(): check the record header of a `count`-element array
+  /// of T and return its payload bytes in place (unaligned) instead of
+  /// copying them out.
+  template <typename T>
+  std::span<const std::byte> view_array(std::size_t count) {
+    static_assert(std::is_arithmetic_v<T>, "view_array() is for arithmetic types");
+    return view(tag_of<T>(), count, sizeof(T));
+  }
+
  protected:
   void record(Tag tag, void* data, std::size_t count,
               std::size_t elem_size) override;
 
  private:
+  /// The next `n` bytes of the stream; throws StreamError past its end.
+  std::span<const std::byte> consume(std::size_t n);
   void read(void* dst, std::size_t n);
+  void read_header(Tag tag, std::size_t count);
+  std::span<const std::byte> view(Tag tag, std::size_t count,
+                                  std::size_t elem_size);
 
   std::span<const std::byte> in_;
   std::size_t pos_ = 0;

@@ -193,6 +193,23 @@ double Cluster::service_latency(bool inter_replica, double bytes) {
   return config_.net.alpha * hops + bytes * config_.net.beta();
 }
 
+std::uint32_t Cluster::park(Message&& m) {
+  if (parked_free_.empty()) {
+    parked_.push_back(std::move(m));
+    return static_cast<std::uint32_t>(parked_.size() - 1);
+  }
+  std::uint32_t record = parked_free_.back();
+  parked_free_.pop_back();
+  parked_[record] = std::move(m);
+  return record;
+}
+
+Message Cluster::unpark(std::uint32_t record) {
+  Message m = std::move(parked_[record]);
+  parked_free_.push_back(record);
+  return m;
+}
+
 void Cluster::send_task(int replica, TaskAddr src, TaskAddr dst, int tag,
                         buf::Buffer payload) {
   Message m;
@@ -204,24 +221,31 @@ void Cluster::send_task(int replica, TaskAddr src, TaskAddr dst, int tag,
   m.payload = std::move(payload);
   double lat = app_latency(m.size_bytes(), jitter_rng_);
   ++in_flight_.at(static_cast<std::size_t>(replica));
-  engine_.schedule_after(lat, [this, m = std::move(m)]() mutable {
-    --in_flight_.at(static_cast<std::size_t>(m.dst_replica));
-    // Traffic from an abandoned timeline (pre-rollback) is dropped.
-    if (m.app_epoch !=
-        app_epoch_.at(static_cast<std::size_t>(m.dst_replica))) {
-      ++net_counters_.stale_epoch_drops;
-      trace_.record(engine_.now(), TraceKind::StaleMessageDropped,
-                    m.dst_replica, m.dst.node_index);
-      return;
-    }
-    int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
-                         [static_cast<std::size_t>(m.dst.node_index)];
-    if (pid < 0) {  // role unmanned: message disappears
-      ++net_counters_.unmanned_drops;
-      return;
-    }
+  std::uint32_t record = park(std::move(m));
+  engine_.schedule_after(lat,
+                         [this, record]() { deliver_task(unpark(record)); });
+}
+
+void Cluster::deliver_task(Message m) {
+  --in_flight_.at(static_cast<std::size_t>(m.dst_replica));
+  // Traffic from an abandoned timeline (pre-rollback) is dropped.
+  if (m.app_epoch != app_epoch_.at(static_cast<std::size_t>(m.dst_replica))) {
+    ++net_counters_.stale_epoch_drops;
+    trace_.record(engine_.now(), TraceKind::StaleMessageDropped,
+                  m.dst_replica, m.dst.node_index);
+  } else if (int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
+                                  [static_cast<std::size_t>(m.dst.node_index)];
+             pid < 0) {  // role unmanned: message disappears
+    ++net_counters_.unmanned_drops;
+  } else {
     nodes_[static_cast<std::size_t>(pid)]->deliver(m);
-  });
+  }
+}
+
+void Cluster::deliver_service(Message m) {
+  int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
+                       [static_cast<std::size_t>(m.dst.node_index)];
+  if (pid >= 0) nodes_[static_cast<std::size_t>(pid)]->deliver(m);
 }
 
 void Cluster::send_service(int src_replica, int src_node, int dst_replica,
@@ -248,14 +272,9 @@ void Cluster::send_service(int src_replica, int src_node, int dst_replica,
   // cluster (the reliable layer's per-link FIFO would hold small frames
   // behind bulk ones, perturbing timing even with zero faults).
   double lat = service_latency(src_replica != dst_replica, wire);
+  std::uint32_t record = park(std::move(m));
   engine_.schedule_after(
-      lat,
-      [this, m = std::move(m)]() mutable {
-        int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
-                             [static_cast<std::size_t>(m.dst.node_index)];
-        if (pid < 0) return;
-        nodes_[static_cast<std::size_t>(pid)]->deliver(m);
-      });
+      lat, [this, record]() { deliver_service(unpark(record)); });
 }
 
 void Cluster::send_to_manager(int src_replica, int src_node, int tag,
@@ -275,8 +294,9 @@ void Cluster::send_to_manager(int src_replica, int src_node, int tag,
     return;
   }
   double lat = service_latency(false, wire);
+  std::uint32_t record = park(std::move(m));
   engine_.schedule_after(lat,
-                         [this, m = std::move(m)]() { manager_hook_(m); });
+                         [this, record]() { manager_hook_(unpark(record)); });
 }
 
 void Cluster::send_from_manager(int dst_replica, int dst_node, int tag,
@@ -479,7 +499,7 @@ bool Cluster::endpoint_alive(int endpoint) {
 
 net::ReliableTransport::Hooks Cluster::make_transport_hooks() {
   net::ReliableTransport::Hooks h;
-  h.schedule = [this](double delay, std::function<void()> fn) {
+  h.schedule = [this](double delay, SmallFunction fn) {
     return engine_.schedule_after(delay, std::move(fn));
   };
   h.cancel = [this](net::ReliableTransport::TimerId id) { engine_.cancel(id); };

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -357,6 +358,16 @@ class Cluster {
   }
   static constexpr int kManagerEndpoint = -1;
 
+  /// Park `m` until its delivery event; the event captures {this, record}
+  /// instead of the whole Message, so it needs no allocation.
+  std::uint32_t park(Message&& m);
+  /// Take a parked message back out and free its record.
+  Message unpark(std::uint32_t record);
+  /// Delivery of a task message (perfect wire): epoch and role checks.
+  void deliver_task(Message m);
+  /// Delivery of a service message to whoever plays its destination role.
+  void deliver_service(Message m);
+
   net::ReliableTransport::Hooks make_transport_hooks();
   /// Enqueue `m` on the reliable transport for link (src -> dst endpoints).
   void route_reliable(int src_endpoint, int dst_endpoint, Message m,
@@ -408,6 +419,11 @@ class Cluster {
   std::vector<std::uint64_t> app_epoch_{0, 0};
   Pcg32 jitter_rng_;
   ManagerHook manager_hook_;
+
+  /// Messages in flight on the perfect wire (see park()). A deque keeps
+  /// each record in place while it grows; freed records are reused.
+  std::deque<Message> parked_;
+  std::vector<std::uint32_t> parked_free_;
 
   failure::NetFaultInjector net_injector_;
   net::ReliableTransport transport_;

@@ -25,14 +25,43 @@ Engine::EventId Engine::schedule_at(double time, Handler fn) {
   slots_[slot].id = id;
   slots_[slot].fn = std::move(fn);
   heap_.push_back(Key{time, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  sift_up(heap_.size() - 1);
   return id;
 }
 
+void Engine::sift_up(std::size_t i) {
+  Key k = heap_[i];
+  while (i > 0) {
+    std::size_t parent = (i - 1) / kArity;
+    if (!earlier(k, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = k;
+}
+
+void Engine::sift_down(std::size_t i) {
+  const std::size_t n = heap_.size();
+  Key k = heap_[i];
+  for (;;) {
+    std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    std::size_t last = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c)
+      if (earlier(heap_[c], heap_[best])) best = c;
+    if (!earlier(heap_[best], k)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = k;
+}
+
 Engine::Handler Engine::pop_event(Key* key, bool* live) {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  *key = heap_.back();
+  *key = heap_.front();
+  heap_.front() = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
   std::uint32_t slot = slot_of(key->id);
   Slot& s = slots_[slot];
   *live = s.id == key->id;

@@ -58,10 +58,27 @@ struct Message {
   }
 };
 
-/// Builder used by pack_payload. Thread-local so consecutive payload packs
-/// recycle arenas once the in-flight messages holding them are delivered.
+/// Builder used by pack_payload for protocol messages: one arena per
+/// payload, recycled through the builder's retired slots once the messages
+/// holding them are delivered. A protocol payload can wait long (an
+/// unacked frame on a lossy wire is kept for retransmission), so it does
+/// not share an arena that it would pin. Thread-local so consecutive packs
+/// on the engine thread reuse arenas.
 inline buf::BufferBuilder& payload_builder() {
   thread_local buf::BufferBuilder builder;
+  return builder;
+}
+
+/// Arena size of the app payload builder: about 80 small app messages
+/// share one.
+constexpr std::size_t kAppPayloadArenaBytes = 16 * 1024;
+
+/// Builder for app message payloads, in shared-arena mode: payloads are
+/// packed back to back, so one costs its own bytes and no allocation, and
+/// an arena is recycled once every message in it is gone. App messages
+/// live from send to delivery only; the receiver copies out what it keeps.
+inline buf::BufferBuilder& app_payload_builder() {
+  thread_local buf::BufferBuilder builder(kAppPayloadArenaBytes);
   return builder;
 }
 

@@ -16,16 +16,25 @@ class NodeTaskContext final : public TaskContext {
                               std::move(payload));
   }
 
-  void after_compute(double seconds, std::function<void()> fn) override {
+  void after_compute(double seconds, SmallFunction fn) override {
     if (!node_.alive()) return;
     std::uint64_t inc = node_.incarnation();
     Node* node = &node_;
-    node_.cluster().engine().schedule_after(
-        seconds,
-        [node, inc, fn = std::move(fn)]() {
-          // A kill or rollback in the meantime invalidates the continuation.
-          if (node->alive() && node->incarnation() == inc) fn();
-        });
+    // The event captures only {node, incarnation, slot} and finds the
+    // continuation parked here, so it fits the engine's inline storage.
+    ACR_REQUIRE(!pending_ || pending_inc_ != inc,
+                "a task may have one compute continuation in flight");
+    pending_ = std::move(fn);  // a stale parked one can no longer fire
+    pending_inc_ = inc;
+    int slot = slot_;
+    node->cluster().engine().schedule_after(seconds, [node, inc, slot]() {
+      // A kill or rollback in the meantime invalidates the continuation
+      // (create_tasks also replaces this context, so check first).
+      if (!node->alive() || node->incarnation() != inc) return;
+      auto& ctx = static_cast<NodeTaskContext&>(
+          *node->contexts_[static_cast<std::size_t>(slot)]);
+      ctx.run_pending();
+    });
   }
 
   void notify_done() override {
@@ -59,8 +68,15 @@ class NodeTaskContext final : public TaskContext {
   }
 
  private:
+  void run_pending() {
+    SmallFunction fn = std::move(pending_);
+    fn();
+  }
+
   Node& node_;
   int slot_;
+  SmallFunction pending_;  ///< parked compute continuation
+  std::uint64_t pending_inc_ = 0;
 };
 
 Node::Node(Cluster& cluster, int physical_id)

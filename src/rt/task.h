@@ -19,9 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/rng.h"
+#include "common/small_function.h"
 #include "pup/pup.h"
 #include "rt/message.h"
 
@@ -38,8 +38,10 @@ class TaskContext {
   virtual void send(TaskAddr dst, int tag, buf::Buffer payload) = 0;
 
   /// Charge `seconds` of virtual compute time, then run `fn` (unless the
-  /// node dies or rolls back in between).
-  virtual void after_compute(double seconds, std::function<void()> fn) = 0;
+  /// node dies or rolls back in between). At most one continuation per
+  /// task is in flight; one capturing no more than
+  /// SmallFunction::kInlineBytes costs no allocation.
+  virtual void after_compute(double seconds, SmallFunction fn) = 0;
 
   /// §2.2 progress call: report that `completed_iterations` iterations are
   /// done. Returns Pause when a checkpoint consensus needs the task to stop

@@ -4,6 +4,9 @@
 // and failure recovery reproduces the failure-free result.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "acr/runtime.h"
 #include "apps/hpccg.h"
 #include "apps/jacobi3d.h"
@@ -285,6 +288,162 @@ TEST(Jacobi, PupRoundTripPreservesTask) {
   twin.pup(pb);
   pup::Checkpoint ca = pa.take(), cb = pb.take();
   EXPECT_TRUE(pup::compare_checkpoints(ca, cb).match);
+}
+
+// ---------------------------------------------------------------------------
+// The early-arrival inbox: a flat sorted buffer that must pack exactly like
+// the std::map<(iter, phase), std::map<sender, vector<double>>> it replaced,
+// and the in-place PhaseMsg writer that must match pack_payload(PhaseMsg).
+// ---------------------------------------------------------------------------
+
+/// Context that records sends and keeps its task paused, so every message
+/// stays in the inbox.
+class RecordingContext final : public rt::TaskContext {
+ public:
+  void send(rt::TaskAddr, int, buf::Buffer payload) override {
+    sent.push_back(std::move(payload));
+  }
+  void after_compute(double, SmallFunction) override {}
+  rt::ProgressDecision report_progress(std::uint64_t) override {
+    return rt::ProgressDecision::Pause;
+  }
+  void notify_done() override {}
+  double now() const override { return 0.0; }
+  rt::TaskAddr self() const override { return {}; }
+  int replica() const override { return 0; }
+  int num_nodes() const override { return 1; }
+  bool paused() const override { return true; }
+  Pcg32 make_app_rng(std::uint64_t salt) const override {
+    return Pcg32(salt, 1);
+  }
+
+  std::vector<buf::Buffer> sent;
+};
+
+/// Two-phase task whose only state is a marker vector.
+class InboxProbeTask final : public IterativeTask {
+ public:
+  InboxProbeTask() : IterativeTask(10) {}
+
+  void deliver(std::uint64_t iter, int phase, int sender,
+               std::vector<double> data) {
+    PhaseMsg pm{iter, phase, sender, std::move(data)};
+    rt::Message m;
+    m.payload = rt::pack_payload(pm);
+    on_message(m);
+  }
+  void send(std::uint64_t iter, int phase, int sender,
+            std::span<const double> data) {
+    send_phase_msg(rt::TaskAddr{}, iter, phase, sender, data);
+  }
+
+ protected:
+  void init() override {}
+  void send_phase(std::uint64_t, int) override {}
+  int expected_in_phase(std::uint64_t, int) const override { return 2; }
+  double compute_phase(std::uint64_t, int,
+                       std::span<const PhaseInput>) override {
+    return 0.0;
+  }
+  int num_phases() const override { return 2; }
+  void pup_state(pup::Puper& p) override { p | marker_; }
+
+ private:
+  std::vector<double> marker_{4.0, 2.0};
+};
+
+using InboxMap = std::map<std::pair<std::uint64_t, std::int32_t>,
+                          std::map<std::int32_t, std::vector<double>>>;
+
+/// The stream IterativeTask::pup wrote before its inbox was flattened: a
+/// fresh task's counters, the nested map, then pup_state.
+buf::Buffer reference_stream(InboxMap inbox) {
+  std::uint64_t total = 10, iter = 0, sent_iter = 0;
+  std::int32_t phase = 0, sent_phase = -1;
+  bool initialized = false;
+  std::vector<double> marker{4.0, 2.0};
+  pup::Packer p;
+  p | total;
+  p | iter;
+  p | phase;
+  p | sent_iter;
+  p | sent_phase;
+  p | initialized;
+  p | inbox;
+  p | marker;
+  return p.take_buffer();
+}
+
+TEST(IterativeInbox, PacksLikeTheNestedMapItReplaced) {
+  RecordingContext ctx;
+  InboxProbeTask task;
+  task.ctx = &ctx;
+  // Out of order, across iterations and phases; one empty payload.
+  task.deliver(3, 0, 5, {3.5});
+  task.deliver(1, 1, -1, {1.1, 1.2});
+  task.deliver(1, 0, 2, {});
+  task.deliver(1, 1, -7, {1.7});
+  task.deliver(2, 0, 0, {2.0, 2.0, 2.0});
+  task.deliver(1, 0, -2, {0.2});
+  InboxMap expected;
+  expected[{3, 0}][5] = {3.5};
+  expected[{1, 1}][-1] = {1.1, 1.2};
+  expected[{1, 0}][2] = {};
+  expected[{1, 1}][-7] = {1.7};
+  expected[{2, 0}][0] = {2.0, 2.0, 2.0};
+  expected[{1, 0}][-2] = {0.2};
+  pup::Checkpoint packed = pup::make_checkpoint(task);
+  EXPECT_TRUE(packed.buffer().content_equals(reference_stream(expected)));
+}
+
+TEST(IterativeInbox, DuplicatesOverwriteAndStaleMessagesDrop) {
+  RecordingContext ctx;
+  InboxProbeTask task;
+  task.ctx = &ctx;
+  task.deliver(1, 0, 4, {1.0});
+  task.deliver(1, 0, 4, {9.0, 9.5});  // duplicate sender: replaces
+  task.deliver(0, 0, 3, {8.0});       // iteration 0 is complete: dropped
+  task.deliver(2, 1, 1, {6.0});
+  InboxMap expected;
+  expected[{1, 0}][4] = {9.0, 9.5};
+  expected[{2, 1}][1] = {6.0};
+  EXPECT_TRUE(pup::make_checkpoint(task).buffer().content_equals(
+      reference_stream(expected)));
+}
+
+TEST(IterativeInbox, RestoreRoundTripsTheBufferedMessages) {
+  RecordingContext ctx;
+  InboxProbeTask task;
+  task.ctx = &ctx;
+  task.deliver(2, 1, 3, {0.5, -0.25});
+  task.deliver(1, 0, -1, {});
+  task.deliver(2, 1, -3, {7.0});
+  pup::Checkpoint packed = pup::make_checkpoint(task);
+
+  InboxProbeTask restored;
+  restored.ctx = &ctx;
+  pup::restore_checkpoint(restored, packed);
+  EXPECT_TRUE(pup::make_checkpoint(restored).buffer().content_equals(
+      packed.buffer()));
+  // Restored slots behave like delivered ones: a duplicate still replaces.
+  restored.deliver(2, 1, 3, {1.0});
+  task.deliver(2, 1, 3, {1.0});
+  EXPECT_TRUE(pup::make_checkpoint(restored).buffer().content_equals(
+      pup::make_checkpoint(task).buffer()));
+}
+
+TEST(IterativeInbox, InPlaceSendMatchesPackedPhaseMsg) {
+  RecordingContext ctx;
+  InboxProbeTask task;
+  task.ctx = &ctx;
+  std::vector<double> data{1.5, -2.0, 3.25};
+  task.send(7, 1, -4, data);
+  task.send(8, 0, 2, {});
+  ASSERT_EQ(ctx.sent.size(), 2u);
+  PhaseMsg full{7, 1, -4, data};
+  PhaseMsg empty{8, 0, 2, {}};
+  EXPECT_TRUE(ctx.sent[0].content_equals(rt::pack_payload(full)));
+  EXPECT_TRUE(ctx.sent[1].content_equals(rt::pack_payload(empty)));
 }
 
 TEST(Table2, SpecsAreConsistent) {

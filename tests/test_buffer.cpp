@@ -160,6 +160,43 @@ TEST(BufferBuilder, LiveBuffersAreNeverRecycledInto) {
   EXPECT_EQ(bb.stats().arena_allocations, 2u);
 }
 
+TEST(BufferBuilder, SharedArenaModePacksBuildsBackToBack) {
+  // Payload mode: small builds share one arena, each Buffer views only its
+  // own bytes, and a taken Buffer never moves when later builds append.
+  buf::BufferBuilder b(64);
+  auto first = pattern_bytes(24, 1);
+  b.append(first.data(), first.size());
+  buf::Buffer one = b.take();
+  const std::byte* where = one.data();
+  auto second = pattern_bytes(30, 2);
+  b.append(second.data(), second.size());
+  buf::Buffer two = b.take();
+  EXPECT_TRUE(one.aliases(two));
+  EXPECT_EQ(std::memcmp(one.data(), first.data(), first.size()), 0);
+  EXPECT_EQ(std::memcmp(two.data(), second.data(), second.size()), 0);
+  // 24 + 30 + 20 > 64: the build moves, partial bytes and all, to a new
+  // arena instead of growing the one the first two Buffers view.
+  auto third = pattern_bytes(20, 3);
+  b.append(third.data(), 8);
+  b.append(third.data() + 8, 12);
+  buf::Buffer three = b.take();
+  EXPECT_EQ(one.data(), where);
+  EXPECT_FALSE(three.aliases(one));
+  ASSERT_EQ(three.size(), third.size());
+  EXPECT_EQ(std::memcmp(three.data(), third.data(), third.size()), 0);
+  EXPECT_EQ(b.stats().arena_allocations, 2u);
+  // Once its Buffers are gone, the first arena is reclaimed for the next
+  // rollover instead of a fresh allocation.
+  one = {};
+  two = {};
+  auto big = pattern_bytes(60, 4);
+  b.append(big.data(), big.size());
+  buf::Buffer four = b.take();
+  EXPECT_EQ(b.stats().arena_allocations, 2u);
+  EXPECT_EQ(b.stats().arena_reuses, 1u);
+  EXPECT_EQ(std::memcmp(four.data(), big.data(), big.size()), 0);
+}
+
 TEST(TeeSink, ForwardsToBothSinks) {
   buf::BufferBuilder a, b;
   buf::TeeSink tee(a, b);

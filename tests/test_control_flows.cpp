@@ -3,6 +3,7 @@
 // the right state.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 
 #include "acr/runtime.h"
@@ -195,14 +196,10 @@ TEST(ControlFlow, LinkFailureBetweenLiveNodesRestartsFromScratch) {
   EXPECT_EQ(link->time, restart->time);
 }
 
-TEST(ControlFlow, StaleLinkFailuresDoNotRelaunchTheJobAgain) {
-  // The driver's defaults under --net-loss 0.2 --net-retry-budget 1
-  // --seed 2. Each scratch restart abandons every frame still in flight;
-  // their retry budgets keep running out afterwards. A report about a
-  // frame sent before the newest relaunch must not relaunch again —
-  // otherwise every such report restarts the job, the restarts feed the
-  // next reports, and pending events grow without bound (unchecked, this
-  // run passes 10 M pending events and aborts).
+/// The driver's defaults under --net-loss 0.2 --net-retry-budget 1
+/// --seed 2: the wire loses more frames than one retry covers, so links
+/// keep failing between live nodes.
+std::unique_ptr<AcrRuntime> link_storm_runtime() {
   apps::Jacobi3DConfig j;
   j.tasks_x = j.tasks_y = 2;
   j.tasks_z = 8;
@@ -220,20 +217,53 @@ TEST(ControlFlow, StaleLinkFailuresDoNotRelaunchTheJobAgain) {
   cc.seed = 2;
   cc.net_faults.drop_rate = 0.2;
   cc.reliable.retry_budget = 1;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto runtime = std::make_unique<AcrRuntime>(ac, cc);
+  runtime->set_task_factory(j.factory());
+  runtime->setup();
+  return runtime;
+}
+
+TEST(ControlFlow, StaleLinkFailuresDoNotRelaunchTheJobAgain) {
+  // Each scratch restart abandons every frame still in flight; their retry
+  // budgets keep running out afterwards. A report about a frame sent
+  // before the newest relaunch must not relaunch again — otherwise every
+  // such report restarts the job, the restarts feed the next reports, and
+  // pending events grow without bound (unchecked, this run passes 10 M
+  // pending events and aborts).
+  std::unique_ptr<AcrRuntime> runtime = link_storm_runtime();
   // Step by hand so a regression fails on the bound, not on memory.
   constexpr std::size_t kPendingBound = 20000;
-  rt::Engine& engine = runtime.engine();
-  while (engine.now() < 0.05 && !runtime.manager().job_complete() &&
-         !runtime.manager().job_failed() && engine.step()) {
+  rt::Engine& engine = runtime->engine();
+  while (engine.now() < 0.05 && !runtime->manager().job_complete() &&
+         !runtime->manager().job_failed() && engine.step()) {
     ASSERT_LE(engine.pending(), kPendingBound)
         << "restart storm at t=" << engine.now() << " after "
-        << runtime.manager().scratch_restarts() << " scratch restarts";
+        << runtime->manager().scratch_restarts() << " scratch restarts";
   }
-  EXPECT_GE(runtime.cluster().net_counters().link_failures, 1u);
-  EXPECT_GE(runtime.manager().scratch_restarts(), 1u);
+  EXPECT_GE(runtime->cluster().net_counters().link_failures, 1u);
+  EXPECT_GE(runtime->manager().scratch_restarts(), 1u);
+}
+
+TEST(ControlFlow, LinkFailureStormFailsTheJobInsteadOfRelaunchingForever) {
+  // Every relaunch of the storm dies of another link failure before it can
+  // commit. Without a give-up the job relaunched until the 600 s virtual
+  // timeout, which took minutes of wall time and hundreds of MB; now it
+  // ends FAILED after a bounded number of relaunches.
+  std::unique_ptr<AcrRuntime> runtime = link_storm_runtime();
+  auto t0 = std::chrono::steady_clock::now();
+  RunSummary s = runtime->run(600.0);
+  double wall = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  EXPECT_TRUE(s.failed);
+  EXPECT_FALSE(s.complete);
+  EXPECT_EQ(s.hard_failures, 0u);
+  EXPECT_LT(s.finish_time, 1.0) << "virtual seconds";
+  EXPECT_LT(wall, 30.0) << "wall seconds";
+  const rt::TraceEvent* end = first_after(
+      runtime->trace(), rt::TraceKind::JobComplete, 0.0);
+  ASSERT_NE(end, nullptr);
+  EXPECT_EQ(end->detail, "FAILED: 5 link-failure relaunches without a commit");
 }
 
 TEST(ControlFlow, CheckpointlessNodeInEscalationGetsARoutedRestore) {

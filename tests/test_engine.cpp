@@ -3,15 +3,19 @@
 // suite at the end pins the engine against a plain ordered-set reference.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "buf/buffer.h"
 #include "common/rng.h"
+#include "common/small_function.h"
 #include "rt/engine.h"
 
 namespace acr::rt {
@@ -151,6 +155,74 @@ TEST(Engine, DispatchNeverCopiesHandlers) {
   e.run();
   EXPECT_EQ(fired, 4);
   EXPECT_EQ(copies, copies_after_scheduling);  // zero copies during dispatch
+}
+
+TEST(Engine, MoveOnlyClosuresRunInline) {
+  // A std::function could not hold these at all: the captured unique_ptr
+  // makes the closure move-only. 16 bytes fit the slot's inline storage.
+  Engine e;
+  int sum = 0;
+  auto make = [&sum](int v) {
+    return [p = std::make_unique<int>(v), &sum] { sum += *p; };
+  };
+  static_assert(SmallFunction::stores_inline<decltype(make(0))>());
+  e.schedule_at(2.0, make(20));
+  e.schedule_at(1.0, make(1));
+  e.run();
+  EXPECT_EQ(sum, 21);
+}
+
+TEST(Engine, OversizedClosuresFallBackToTheHeap) {
+  // 64 captured bytes exceed the inline storage: the closure lives on the
+  // heap behind a pointer, fires with its captures intact, and is
+  // destroyed exactly once whether it fired or was cancelled.
+  struct Big {
+    std::array<std::uint64_t, 8> words{};
+    std::shared_ptr<int> alive;
+    void operator()() const {
+      std::uint64_t s = 0;
+      for (std::uint64_t w : words) s += w;
+      *alive += static_cast<int>(s);
+    }
+  };
+  static_assert(!SmallFunction::stores_inline<Big>());
+  auto total = std::make_shared<int>(0);
+  Engine e;
+  Big fires;
+  fires.words.fill(2);
+  fires.alive = total;
+  Big dropped = fires;
+  e.schedule_at(1.0, std::move(fires));
+  Engine::EventId id = e.schedule_at(2.0, std::move(dropped));
+  EXPECT_EQ(total.use_count(), 3);
+  e.cancel(id);
+  e.run();
+  EXPECT_EQ(*total, 16);
+  EXPECT_EQ(total.use_count(), 1);  // both heap closures destroyed
+}
+
+TEST(Engine, PoppedAndCancelledClosuresReleaseTheirBuffers) {
+  // A closure that captures a checkpoint Buffer holds a share of it until
+  // its event is dispatched or its cancelled key leaves the heap. The
+  // Buffer (32 bytes) rides on the heap; a shared_ptr (16 bytes) inline.
+  buf::Buffer image = buf::Buffer::copy_of(std::as_bytes(std::span("abcd")));
+  auto token = std::make_shared<int>(7);
+  Engine e;
+  std::size_t seen = 0;
+  e.schedule_at(1.0, [image, &seen] { seen = image.size(); });
+  Engine::EventId heap_id = e.schedule_at(2.0, [image] { (void)image; });
+  Engine::EventId inline_id = e.schedule_at(2.0, [token] { (void)token; });
+  EXPECT_EQ(image.owners(), 3);
+  EXPECT_EQ(token.use_count(), 2);
+  e.cancel(heap_id);
+  e.cancel(inline_id);
+  EXPECT_EQ(image.owners(), 3);  // tombstones still hold their closures
+  ASSERT_TRUE(e.step());
+  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(image.owners(), 2);  // the fired closure is gone
+  EXPECT_FALSE(e.step());        // pops both tombstones
+  EXPECT_EQ(image.owners(), 1);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Engine, RejectsNonFiniteTimes) {

@@ -51,7 +51,7 @@ struct Harness {
 
   ReliableTransport::Hooks hooks() {
     ReliableTransport::Hooks h;
-    h.schedule = [this](double delay, std::function<void()> fn) {
+    h.schedule = [this](double delay, SmallFunction fn) {
       return engine.schedule_after(delay, std::move(fn));
     };
     h.cancel = [this](ReliableTransport::TimerId id) { engine.cancel(id); };
