@@ -210,11 +210,9 @@ int main(int argc, char** argv) {
                  kernel_threads);
     return 2;
   }
-  if (l2_bandwidth < 0.0) {
-    std::fprintf(stderr, "error: --l2-bandwidth=%g must be >= 0 (0 disables)\n",
-                 l2_bandwidth);
-    return 2;
-  }
+  // validate_tier_config (below) checks the tier's values. The driver
+  // checks only what never reaches TierConfig: whether --l2-latency and
+  // --flush-interval were given at all, and a --flush-interval below 1.
   if (l2_bandwidth == 0.0) {
     // The tier is off; reject flags that silently depend on it.
     if (!std::isnan(l2_latency)) {
@@ -229,29 +227,12 @@ int main(int argc, char** argv) {
                    "durable tier is disabled)\n");
       return 2;
     }
-    if (halt_after > 0.0) {
-      std::fprintf(stderr,
-                   "error: --halt-after drains to the durable tier; it "
-                   "requires --l2-bandwidth > 0\n");
-      return 2;
-    }
-  } else {
-    if (!std::isnan(l2_latency) && l2_latency < 0.0) {
-      std::fprintf(stderr, "error: --l2-latency=%g must be >= 0\n", l2_latency);
-      return 2;
-    }
-    if (flush_interval != -1 && flush_interval < 1) {
-      // An explicit 0 used to be swallowed as "unset"; a flush interval of
-      // zero epochs is meaningless, so reject it loudly.
-      std::fprintf(stderr, "error: --flush-interval=%d must be >= 1\n",
-                   flush_interval);
-      return 2;
-    }
-    if (halt_after < 0.0) {
-      std::fprintf(stderr, "error: --halt-after=%g must be >= 0\n",
-                   halt_after);
-      return 2;
-    }
+  } else if (flush_interval != -1 && flush_interval < 1) {
+    // -1 is the unset sentinel; an explicit 0 never reaches TierConfig,
+    // so the library cannot reject it.
+    std::fprintf(stderr, "error: --flush-interval=%d must be >= 1\n",
+                 flush_interval);
+    return 2;
   }
   checksum::set_kernel_impl(kernel_impl == "portable"
                                 ? checksum::KernelImpl::Portable
@@ -272,17 +253,11 @@ int main(int argc, char** argv) {
                  ckpt_scheme.c_str());
     return 2;
   }
+  // Under xor/rs both values reach AcrConfig as given (an explicit 0
+  // included), so validate_redundancy_config rejects undersized groups and
+  // parity counts.
   if (ckpt_scheme == "xor" || ckpt_scheme == "rs") {
     if (xor_group_size == -1) xor_group_size = 4;
-    if (xor_group_size < 2) {
-      // An explicit 0 used to be swallowed as "unset" and silently became
-      // the default; it now fails like every other undersized group.
-      std::fprintf(stderr,
-                   "error: --xor-group-size=%d must be >= 2 (a one-node "
-                   "group has no parity peers)\n",
-                   xor_group_size);
-      return 2;
-    }
     if (xor_group_size > nodes) {
       std::fprintf(stderr,
                    "error: --xor-group-size=%d exceeds --nodes=%d (a group "
@@ -294,13 +269,7 @@ int main(int argc, char** argv) {
   // xor is rs with one parity block per stripe (ckpt/rs.h): the same
   // RAID-5 rotation and XOR fold, so it needs no code path of its own.
   if (ckpt_scheme == "xor") rs_parity = 1;
-  if (ckpt_scheme == "rs") {
-    if (rs_parity == -1) rs_parity = 2;
-    if (rs_parity < 1) {
-      std::fprintf(stderr, "error: --rs-parity=%d must be >= 1\n", rs_parity);
-      return 2;
-    }
-  }
+  if (ckpt_scheme == "rs" && rs_parity == -1) rs_parity = 2;
 
   // --- assemble the configuration -------------------------------------------
   AcrConfig ac;
@@ -325,8 +294,10 @@ int main(int argc, char** argv) {
       ckpt_delta == "on" ? ckpt::DeltaMode::On : ckpt::DeltaMode::Off;
   ac.codec.compress =
       ckpt_compress == "lz" ? ckpt::CompressMode::Lz : ckpt::CompressMode::None;
-  if (xor_group_size > 0) ac.xor_group_size = xor_group_size;
-  if (rs_parity > 0) ac.rs_parity = rs_parity;
+  if (ac.redundancy == ckpt::Scheme::Rs) {
+    ac.xor_group_size = xor_group_size;
+    ac.rs_parity = rs_parity;
+  }
   ac.tier.bandwidth = l2_bandwidth;
   if (!std::isnan(l2_latency)) ac.tier.latency = l2_latency;
   if (flush_interval > 0)

@@ -176,7 +176,7 @@ void Manager::handle_replica_quiesced(const wire::ProgressMsg& msg,
                          rt::pack_payload(decided));
 }
 
-void Manager::handle_replica_ready(const wire::ReadyMsg& msg,
+void Manager::handle_replica_ready(const wire::EpochMsg& msg,
                                    int src_replica) {
   if (!ckpt_ || msg.epoch != ckpt_->epoch) return;
   if (!(ckpt_->participants & (1u << src_replica))) return;
@@ -894,7 +894,7 @@ void Manager::on_message(const rt::Message& m) {
       return handle_replica_quiesced(rt::unpack_payload<wire::ProgressMsg>(m),
                                      m.src_replica);
     case wire::kReplicaReady:
-      return handle_replica_ready(rt::unpack_payload<wire::ReadyMsg>(m),
+      return handle_replica_ready(rt::unpack_payload<wire::EpochMsg>(m),
                                   m.src_replica);
     case wire::kReplicaVerdict:
       return handle_verdict(rt::unpack_payload<wire::VerdictMsg>(m));

@@ -120,7 +120,7 @@ class Manager {
   // are idempotent under a duplicating/reordering network.
   void request_checkpoint(std::uint8_t participants, CkptPurpose purpose);
   void handle_replica_quiesced(const wire::ProgressMsg& msg, int src_replica);
-  void handle_replica_ready(const wire::ReadyMsg& msg, int src_replica);
+  void handle_replica_ready(const wire::EpochMsg& msg, int src_replica);
   void try_start_pack();
   void handle_verdict(const wire::VerdictMsg& msg);
   void handle_pack_done(const wire::EpochMsg& msg, int src_node);

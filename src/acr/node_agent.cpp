@@ -23,7 +23,6 @@ NodeAgent::NodeAgent(AcrEnv env, rt::Node& node)
       index_(node.node_index()),
       num_nodes_(env.cluster->nodes_per_replica()) {
   ACR_REQUIRE(node.assigned(), "agent requires an assigned node");
-  done_.assign(static_cast<std::size_t>(node.num_tasks()), false);
   make_scheme();
 }
 
@@ -158,8 +157,10 @@ void NodeAgent::reset_for_restart() {
   invalidate_codec_bases();
   pack_complete_ = false;
   have_remote_ = false;
-  local_verdict_done_ = false;
-  refresh_done_from_tasks();
+  progress_.reset();
+  ready_.reset();
+  verdict_.reset();
+  node_done_reported_ = false;  // create_tasks() cleared the done flags
   start();  // rebuilds the peer table, bumps heartbeat incarnation
 }
 
@@ -234,7 +235,7 @@ rt::ProgressDecision NodeAgent::on_progress(int slot, std::uint64_t iters) {
 }
 
 void NodeAgent::on_task_done(int slot) {
-  done_.at(static_cast<std::size_t>(slot)) = true;
+  (void)slot;  // the node marked the slot done
   report_node_done_if_complete();
   // A done task never reports progress again; re-evaluate any readiness
   // wait that counts it.
@@ -243,16 +244,11 @@ void NodeAgent::on_task_done(int slot) {
 
 void NodeAgent::report_node_done_if_complete() {
   if (node_done_reported_) return;
-  if (std::all_of(done_.begin(), done_.end(), [](bool b) { return b; })) {
-    node_done_reported_ = true;
-    wire::EpochMsg msg{epoch_};
-    send_to_manager(wire::kNodeDone, rt::pack_payload(msg));
-  }
-}
-
-void NodeAgent::refresh_done_from_tasks() {
-  done_.assign(static_cast<std::size_t>(node_.num_tasks()), false);
-  node_done_reported_ = false;
+  for (int slot = 0; slot < node_.num_tasks(); ++slot)
+    if (!node_.task_done(slot)) return;
+  node_done_reported_ = true;
+  wire::EpochMsg msg{epoch_};
+  send_to_manager(wire::kNodeDone, rt::pack_payload(msg));
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ void NodeAgent::on_service_message(const rt::Message& m) {
       return handle_tree_progress(rt::unpack_payload<wire::ProgressMsg>(m),
                                   m.src.node_index);
     case wire::kTreeReady:
-      return handle_tree_ready(rt::unpack_payload<wire::ReadyMsg>(m),
+      return handle_tree_ready(rt::unpack_payload<wire::EpochMsg>(m),
                                m.src.node_index);
     case wire::kTreeVerdict:
       return handle_tree_verdict(rt::unpack_payload<wire::VerdictMsg>(m),
@@ -329,7 +325,7 @@ void NodeAgent::on_service_message(const rt::Message& m) {
     case wire::kBuddyDeltaCheckpoint:
       return handle_buddy_delta_checkpoint(m);
     case wire::kBuddyNeedFull:
-      return handle_buddy_need_full(rt::unpack_payload<wire::NeedFullMsg>(m));
+      return handle_buddy_need_full();
     case wire::kRsParityChunk: {
       auto msg = rt::unpack_payload<ckpt::RsChunkMsg>(m);
       if (rs_) rs_->on_chunk(m.src.node_index, msg, m.attachment);
@@ -363,17 +359,14 @@ void NodeAgent::handle_checkpoint_request(const wire::CkptRequestMsg& msg) {
   participants_ = msg.participants;
   single_replica_ckpt_ = participants_ != 3;
   phase_ = Phase::Quiesce;
-  local_quiesced_ = false;
-  local_ready_ = false;
   pack_complete_ = false;
   have_remote_ = false;
-  local_verdict_done_ = false;
   subtree_match_ = true;
   subtree_mismatches_ = 0;
   num_children_ = static_cast<int>(child_indices().size());
-  progress_children_.clear();
-  ready_children_.clear();
-  verdict_children_.clear();
+  progress_.reset();
+  ready_.reset();
+  verdict_.reset();
 
   // Fig. 3 phase 2: the node's contribution to the max-progress reduction.
   // A running task is somewhere inside iteration progress+1 — it may
@@ -385,36 +378,34 @@ void NodeAgent::handle_checkpoint_request(const wire::CkptRequestMsg& msg) {
   std::uint64_t floor = 0;
   for (int slot = 0; slot < node_.num_tasks(); ++slot) {
     std::uint64_t p = node_.task_progress(slot);
-    if (!done_.at(static_cast<std::size_t>(slot)) &&
-        !node_.task_paused(slot))
+    if (!node_.task_done(slot) && !node_.task_paused(slot))
       p += 1;
     floor = std::max(floor, p);
   }
   subtree_max_progress_ = floor;
-  local_quiesced_ = true;
+  progress_.local = true;
   // Replay any child contributions that overtook this request (a child's
   // own request arrived earlier and its report beat ours here).
   if (auto it = progress_stash_.find(epoch_); it != progress_stash_.end()) {
     for (const auto& [child, progress] : it->second) {
       subtree_max_progress_ = std::max(subtree_max_progress_, progress);
-      progress_children_.insert(child);
+      progress_.add_child(child);
     }
   }
   // Stashes at or below this epoch can never be consumed again.
   progress_stash_.erase(progress_stash_.begin(),
                         progress_stash_.upper_bound(epoch_));
-  maybe_send_progress_up();
+  maybe_send_up(progress_, wire::ProgressMsg{epoch_, subtree_max_progress_});
 }
 
-void NodeAgent::maybe_send_progress_up() {
-  if (!local_quiesced_ ||
-      static_cast<int>(progress_children_.size()) < num_children_)
+template <typename Msg>
+void NodeAgent::maybe_send_up(const Stage& stage, Msg msg) {
+  if (!stage.local || static_cast<int>(stage.children.size()) < num_children_)
     return;
-  wire::ProgressMsg msg{epoch_, subtree_max_progress_};
   if (is_root()) {
-    send_to_manager(wire::kReplicaQuiesced, rt::pack_payload(msg));
+    send_to_manager(stage.root_tag, rt::pack_payload(msg));
   } else {
-    send_to_agent(replica_, parent_index(), wire::kTreeProgress,
+    send_to_agent(replica_, parent_index(), stage.tree_tag,
                   rt::pack_payload(msg));
   }
 }
@@ -428,9 +419,9 @@ void NodeAgent::handle_tree_progress(const wire::ProgressMsg& msg, int child) {
     return;
   }
   if (msg.epoch != epoch_ || phase_ != Phase::Quiesce) return;
-  if (!progress_children_.insert(child).second) return;  // duplicate
+  if (!progress_.add_child(child)) return;  // duplicate
   subtree_max_progress_ = std::max(subtree_max_progress_, msg.max_progress);
-  maybe_send_progress_up();
+  maybe_send_up(progress_, wire::ProgressMsg{epoch_, subtree_max_progress_});
 }
 
 void NodeAgent::handle_iteration_decided(const wire::IterationMsg& msg) {
@@ -440,7 +431,7 @@ void NodeAgent::handle_iteration_decided(const wire::IterationMsg& msg) {
   // Tasks short of the target resume; the pause rule in on_progress stops
   // them exactly at the decided iteration.
   for (int slot = 0; slot < node_.num_tasks(); ++slot) {
-    if (done_.at(static_cast<std::size_t>(slot))) continue;
+    if (node_.task_done(slot)) continue;
     if (node_.task_progress(slot) < decided_iteration_)
       node_.unpause_task(slot);
   }
@@ -448,37 +439,24 @@ void NodeAgent::handle_iteration_decided(const wire::IterationMsg& msg) {
 }
 
 void NodeAgent::check_ready() {
-  if (phase_ != Phase::RunToIteration || local_ready_) return;
+  if (phase_ != Phase::RunToIteration || ready_.local) return;
   for (int slot = 0; slot < node_.num_tasks(); ++slot) {
-    if (done_.at(static_cast<std::size_t>(slot))) continue;
+    if (node_.task_done(slot)) continue;
     if (!(node_.task_paused(slot) &&
           node_.task_progress(slot) >= decided_iteration_))
       return;
   }
-  local_ready_ = true;
-  maybe_send_ready_up();
+  ready_.local = true;
+  maybe_send_up(ready_, wire::EpochMsg{epoch_});
 }
 
-void NodeAgent::maybe_send_ready_up() {
-  if (!local_ready_ ||
-      static_cast<int>(ready_children_.size()) < num_children_)
-    return;
-  wire::ReadyMsg msg{epoch_};
-  if (is_root()) {
-    send_to_manager(wire::kReplicaReady, rt::pack_payload(msg));
-  } else {
-    send_to_agent(replica_, parent_index(), wire::kTreeReady,
-                  rt::pack_payload(msg));
-  }
-}
-
-void NodeAgent::handle_tree_ready(const wire::ReadyMsg& msg, int child) {
+void NodeAgent::handle_tree_ready(const wire::EpochMsg& msg, int child) {
   // Unlike progress, readiness cannot arrive early: a child only reports
   // after kIterationDecided, which the manager sends once every root has
   // contributed — requiring this node's own request to have been handled.
   if (msg.epoch != epoch_) return;
-  if (!ready_children_.insert(child).second) return;  // duplicate
-  maybe_send_ready_up();
+  if (!ready_.add_child(child)) return;  // duplicate
+  maybe_send_up(ready_, wire::EpochMsg{epoch_});
 }
 
 // ---------------------------------------------------------------------------
@@ -699,13 +677,12 @@ void NodeAgent::handle_buddy_delta_checkpoint(const rt::Message& m) {
       now(), rt::TraceKind::DeltaFallback, replica_, index_,
       "epoch=" + std::to_string(msg.epoch) +
           " base=" + std::to_string(msg.base_epoch));
-  wire::NeedFullMsg need{0};
+  wire::EpochMsg need{0};  // the epoch field is unused
   send_to_agent(1 - replica_, index_, wire::kBuddyNeedFull,
                 rt::pack_payload(need));
 }
 
-void NodeAgent::handle_buddy_need_full(const wire::NeedFullMsg& msg) {
-  (void)msg;
+void NodeAgent::handle_buddy_need_full() {
   sent_base_epoch_ = 0;  // every later epoch ships full until re-established
   ++codec_stats_.need_full;
   // The compare round is stalled on the rejected frame: re-ship the same
@@ -736,8 +713,7 @@ void NodeAgent::hold_for_flush(std::uint64_t epoch, const buf::Buffer& image,
 }
 
 void NodeAgent::maybe_compare() {
-  if (replica_ != 1 || !pack_complete_ || !have_remote_ ||
-      local_verdict_done_)
+  if (replica_ != 1 || !pack_complete_ || !have_remote_ || verdict_.local)
     return;
   if (env_.config->detection == SdcDetection::Checksum) {
     bool match = remote_checksum_.digest == local_digest_ &&
@@ -759,32 +735,20 @@ void NodeAgent::maybe_compare() {
 }
 
 void NodeAgent::finish_local_verdict(bool match) {
-  local_verdict_done_ = true;
+  verdict_.local = true;
   subtree_match_ = subtree_match_ && match;
   if (!match) ++subtree_mismatches_;
-  maybe_send_verdict_up();
-}
-
-void NodeAgent::maybe_send_verdict_up() {
-  if (!local_verdict_done_ ||
-      static_cast<int>(verdict_children_.size()) < num_children_)
-    return;
-  wire::VerdictMsg msg{epoch_, static_cast<std::uint8_t>(subtree_match_),
-                       subtree_mismatches_};
-  if (is_root()) {
-    send_to_manager(wire::kReplicaVerdict, rt::pack_payload(msg));
-  } else {
-    send_to_agent(replica_, parent_index(), wire::kTreeVerdict,
-                  rt::pack_payload(msg));
-  }
+  maybe_send_up(verdict_, wire::VerdictMsg{epoch_, subtree_match_,
+                                           subtree_mismatches_});
 }
 
 void NodeAgent::handle_tree_verdict(const wire::VerdictMsg& msg, int child) {
   if (msg.epoch != epoch_) return;
-  if (!verdict_children_.insert(child).second) return;  // duplicate
+  if (!verdict_.add_child(child)) return;  // duplicate
   subtree_match_ = subtree_match_ && (msg.match != 0);
   subtree_mismatches_ += msg.mismatched_nodes;
-  maybe_send_verdict_up();
+  maybe_send_up(verdict_, wire::VerdictMsg{epoch_, subtree_match_,
+                                           subtree_mismatches_});
 }
 
 // ---------------------------------------------------------------------------
@@ -891,7 +855,7 @@ void NodeAgent::restore_from(const ckpt::Image& ckpt, const char* why,
     node_.restore_state(local.image);
     store_.adopt_verified(local);
     phase_ = Phase::Idle;
-    refresh_done_from_tasks();
+    node_done_reported_ = false;  // restore_state cleared the done flags
     // Every delta base is now stale: the adopted image broke the committed
     // chain this node's channels were diffing along, and the peers' caches
     // of THIS node's image may be gone with their hardware. Ship full

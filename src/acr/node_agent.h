@@ -138,7 +138,7 @@ class NodeAgent final : public rt::NodeService {
   // tracked as identity sets, so a duplicated control message can never
   // double-count (idempotency under an at-least-once transport).
   void handle_tree_progress(const wire::ProgressMsg& msg, int child);
-  void handle_tree_ready(const wire::ReadyMsg& msg, int child);
+  void handle_tree_ready(const wire::EpochMsg& msg, int child);
   void handle_tree_verdict(const wire::VerdictMsg& msg, int child);
   void handle_buddy_checkpoint(const rt::Message& m);
   void handle_buddy_checksum(const rt::Message& m);
@@ -152,7 +152,8 @@ class NodeAgent final : public rt::NodeService {
   /// is possible (always, with both codec stages off).
   void send_codec_frame_to_buddy();
   void handle_buddy_delta_checkpoint(const rt::Message& m);
-  void handle_buddy_need_full(const wire::NeedFullMsg& msg);
+  /// The buddy lost the delta base: ship full images from now on.
+  void handle_buddy_need_full();
   /// Drop every delta base (own, buddy's, L2 chain): the next transfer of
   /// each kind ships a full image. Called on restart, role change, and
   /// restore — the moments the ISSUE's invalidation rules name.
@@ -180,11 +181,32 @@ class NodeAgent final : public rt::NodeService {
   void handle_fetch_from_durable(const wire::RestoreCmdMsg& msg);
 
   // Consensus steps.
-  void maybe_send_progress_up();
+  /// One Fig. 3 tree reduction of the current epoch: the children whose
+  /// contribution has been counted (an identity set, not a counter, so a
+  /// duplicated tree message cannot double-count) and whether this node's
+  /// own contribution is in. Each handler keeps its own acceptance rule
+  /// and folds the value it carries.
+  struct Stage {
+    Stage(int tree, int root) : tree_tag(tree), root_tag(root) {}
+
+    int tree_tag;  ///< child -> parent
+    int root_tag;  ///< root -> manager
+    std::set<int> children;
+    bool local = false;
+
+    /// Count `child` once; false for a duplicate.
+    bool add_child(int child) { return children.insert(child).second; }
+    void reset() {
+      children.clear();
+      local = false;
+    }
+  };
+  /// Send `msg` to the parent (or, from the root, to the manager) once
+  /// `stage` holds the local contribution and every child's.
+  template <typename Msg>
+  void maybe_send_up(const Stage& stage, Msg msg);
   void check_ready();
-  void maybe_send_ready_up();
   void maybe_compare();
-  void maybe_send_verdict_up();
   void finish_local_verdict(bool match);
 
   // Checkpoint plumbing.
@@ -194,7 +216,6 @@ class NodeAgent final : public rt::NodeService {
                     std::uint64_t barrier);
   void send_checkpoint_to_buddy(const ckpt::Image& ckpt, std::uint8_t purpose,
                                 std::uint64_t barrier = 0);
-  void refresh_done_from_tasks();
   void report_node_done_if_complete();
 
   /// Build rs_ (with its wire hooks) under the rs policy; no-op otherwise.
@@ -222,17 +243,15 @@ class NodeAgent final : public rt::NodeService {
   bool single_replica_ckpt_ = false;
   std::uint64_t decided_iteration_ = 0;
   int num_children_ = 0;
-  /// Children whose contribution to each reduction has been counted.
-  /// Sets, not counters: a duplicated tree message must not double-count.
-  std::set<int> progress_children_;
-  std::set<int> ready_children_;
-  std::set<int> verdict_children_;
+  /// The three reductions: max progress (Fig. 3 phase 2), readiness
+  /// (phase 3) and the compare verdict (replica 1 only), with the values
+  /// they fold.
+  Stage progress_{wire::kTreeProgress, wire::kReplicaQuiesced};
+  Stage ready_{wire::kTreeReady, wire::kReplicaReady};
+  Stage verdict_{wire::kTreeVerdict, wire::kReplicaVerdict};
   std::uint64_t subtree_max_progress_ = 0;
-  bool local_quiesced_ = false;
-  bool local_ready_ = false;
   bool subtree_match_ = true;
   std::uint64_t subtree_mismatches_ = 0;
-  bool local_verdict_done_ = false;
   /// A child's kTreeProgress can legitimately overtake this node's own
   /// kCheckpointRequest (they travel different links). Early contributions
   /// are stashed by epoch and replayed when the request arrives.
@@ -250,8 +269,7 @@ class NodeAgent final : public rt::NodeService {
   wire::ChecksumMsg remote_checksum_;
   std::uint64_t local_digest_ = 0;
 
-  // Task bookkeeping.
-  std::vector<bool> done_;
+  // Task bookkeeping (the per-task done flags live in the node's slots).
   bool node_done_reported_ = false;
 
   // Checkpoint store + rs group parity (null unless redundancy == Rs).

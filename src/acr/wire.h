@@ -82,11 +82,6 @@ struct IterationMsg {
   }
 };
 
-struct ReadyMsg {
-  std::uint64_t epoch = 0;
-  void pup(pup::Puper& p) { p | epoch; }
-};
-
 struct VerdictMsg {
   std::uint64_t epoch = 0;
   std::uint8_t match = 1;
@@ -98,6 +93,9 @@ struct VerdictMsg {
   }
 };
 
+/// Epoch-only payload: pack, commit and abort commands, pack-done and
+/// node-done reports, heartbeats, the readiness reduction and the codec's
+/// need-full request.
 struct EpochMsg {
   std::uint64_t epoch = 0;
   void pup(pup::Puper& p) { p | epoch; }
@@ -210,13 +208,6 @@ struct DeltaCheckpointMsg {
     p | encoding;
     p | present;
   }
-};
-
-/// Receiver -> sender: the delta base you assumed is gone (restart, size
-/// change, decode failure). Re-ship epochs > `epoch` as full images.
-struct NeedFullMsg {
-  std::uint64_t epoch = 0;  ///< last epoch the receiver holds (0 = none)
-  void pup(pup::Puper& p) { p | epoch; }
 };
 
 struct SuspectMsg {

@@ -36,7 +36,7 @@
 namespace acr::buf {
 
 /// Minimal byte-stream consumer. Implementations: BufferBuilder (collects
-/// bytes), checksum sinks (fold a digest), tees (both at once).
+/// bytes) and the checksum sinks (fold a digest).
 class Sink {
  public:
   virtual ~Sink() = default;
@@ -182,21 +182,6 @@ class BufferBuilder final : public Sink {
   std::shared_ptr<Buffer::Storage> arena_;
   std::array<std::shared_ptr<Buffer::Storage>, kRetiredSlots> retired_;
   Stats stats_;
-};
-
-/// Sink fan-out: forwards every write to two downstream sinks. Lets the
-/// Packer fill a BufferBuilder and fold a checksum in the same traversal.
-class TeeSink final : public Sink {
- public:
-  TeeSink(Sink& a, Sink& b) : a_(a), b_(b) {}
-  void write(std::span<const std::byte> bytes) override {
-    a_.write(bytes);
-    b_.write(bytes);
-  }
-
- private:
-  Sink& a_;
-  Sink& b_;
 };
 
 }  // namespace acr::buf

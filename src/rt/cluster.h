@@ -340,7 +340,6 @@ class Cluster {
 
  private:
   friend class Node;
-  friend class NodeTaskContext;
 
   /// A message riding the reliable transport, parked until acked/abandoned
   /// (the retransmit source). Keyed by (link, seq) in wire_store_.

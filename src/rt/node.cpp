@@ -5,10 +5,17 @@
 
 namespace acr::rt {
 
-/// TaskContext implementation bound to one (node, slot).
-class NodeTaskContext final : public TaskContext {
+/// One task slot: the task, the TaskContext it runs against (the record
+/// itself, so the pause check on every app message reads a flag beside the
+/// task pointer), and the node's consensus bookkeeping for it.
+class TaskSlot final : public TaskContext {
  public:
-  NodeTaskContext(Node& node, int slot) : node_(node), slot_(slot) {}
+  TaskSlot(Node& node, int slot, std::unique_ptr<Task> task)
+      : node_(node), slot_(slot), task_(std::move(task)) {
+    task_->ctx = this;
+  }
+  TaskSlot(const TaskSlot&) = delete;
+  TaskSlot& operator=(const TaskSlot&) = delete;
 
   void send(TaskAddr dst, int tag, buf::Buffer payload) override {
     if (!node_.alive()) return;  // fail-stop: a dead node sends nothing
@@ -29,24 +36,23 @@ class NodeTaskContext final : public TaskContext {
     int slot = slot_;
     node->cluster().engine().schedule_after(seconds, [node, inc, slot]() {
       // A kill or rollback in the meantime invalidates the continuation
-      // (create_tasks also replaces this context, so check first).
+      // (create_tasks also replaces this record, so check first).
       if (!node->alive() || node->incarnation() != inc) return;
-      auto& ctx = static_cast<NodeTaskContext&>(
-          *node->contexts_[static_cast<std::size_t>(slot)]);
-      ctx.run_pending();
+      node->slots_[static_cast<std::size_t>(slot)]->run_pending();
     });
   }
 
   void notify_done() override {
+    done_ = true;
     if (node_.service() != nullptr) node_.service()->on_task_done(slot_);
   }
 
   ProgressDecision report_progress(std::uint64_t iters) override {
-    node_.note_progress(slot_, iters);
+    progress_ = iters;
     ProgressDecision d = ProgressDecision::Continue;
     if (node_.service() != nullptr)
       d = node_.service()->on_progress(slot_, iters);
-    if (d == ProgressDecision::Pause) node_.pause_task(slot_);
+    if (d == ProgressDecision::Pause) paused_ = true;
     return d;
   }
 
@@ -54,7 +60,7 @@ class NodeTaskContext final : public TaskContext {
   TaskAddr self() const override { return TaskAddr{node_.node_index(), slot_}; }
   int replica() const override { return node_.replica(); }
   int num_nodes() const override { return node_.cluster().nodes_per_replica(); }
-  bool paused() const override { return node_.task_paused(slot_); }
+  bool paused() const override { return paused_; }
 
   Pcg32 make_app_rng(std::uint64_t salt) const override {
     // Seeded by logical position only: buddy tasks in the two replicas draw
@@ -68,6 +74,8 @@ class NodeTaskContext final : public TaskContext {
   }
 
  private:
+  friend class Node;
+
   void run_pending() {
     SmallFunction fn = std::move(pending_);
     fn();
@@ -75,6 +83,10 @@ class NodeTaskContext final : public TaskContext {
 
   Node& node_;
   int slot_;
+  std::unique_ptr<Task> task_;
+  bool paused_ = false;  ///< held by the consensus until unpaused
+  bool done_ = false;    ///< notify_done() since the last create/restore
+  std::uint64_t progress_ = 0;  ///< last reported (or restored) iterations
   SmallFunction pending_;  ///< parked compute continuation
   std::uint64_t pending_inc_ = 0;
 };
@@ -105,22 +117,27 @@ void Node::create_tasks() {
   ACR_REQUIRE(assigned(), "cannot create tasks on an unassigned node");
   ACR_REQUIRE(cluster_.task_factory() != nullptr, "no task factory set");
   ++incarnation_;
-  tasks_ = cluster_.task_factory()(replica_, node_index_);
-  contexts_.clear();
-  paused_.assign(tasks_.size(), false);
-  progress_.assign(tasks_.size(), 0);
-  max_progress_ = 0;
-  for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
-    contexts_.push_back(
-        std::make_unique<NodeTaskContext>(*this, static_cast<int>(slot)));
-    tasks_[slot]->ctx = contexts_[slot].get();
-  }
+  std::vector<std::unique_ptr<Task>> tasks =
+      cluster_.task_factory()(replica_, node_index_);
+  slots_.clear();
+  slots_.reserve(tasks.size());
+  for (auto& t : tasks)
+    slots_.push_back(std::make_unique<TaskSlot>(
+        *this, static_cast<int>(slots_.size()), std::move(t)));
 }
+
+Task& Node::task(int slot) { return *at(slot).task_; }
+bool Node::task_paused(int slot) const { return at(slot).paused_; }
+void Node::pause_task(int slot) { at(slot).paused_ = true; }
+std::uint64_t Node::task_progress(int slot) const {
+  return at(slot).progress_;
+}
+bool Node::task_done(int slot) const { return at(slot).done_; }
 
 void Node::start_tasks() {
   std::uint64_t inc = incarnation_;
-  for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
-    Task* t = tasks_[slot].get();
+  for (const auto& slot : slots_) {
+    Task* t = slot->task_.get();
     cluster_.engine().schedule_after(
         0.0,
         [this, t, inc]() {
@@ -129,11 +146,8 @@ void Node::start_tasks() {
   }
 }
 
-void Node::unpause_task(int slot) {
-  auto s = static_cast<std::size_t>(slot);
-  if (!paused_.at(s)) return;
-  paused_[s] = false;
-  Task* t = tasks_.at(s).get();
+void Node::schedule_resume(TaskSlot& slot) {
+  Task* t = slot.task_.get();
   std::uint64_t inc = incarnation_;
   cluster_.engine().schedule_after(
       0.0,
@@ -142,22 +156,23 @@ void Node::unpause_task(int slot) {
       });
 }
 
-void Node::unpause_all() {
-  for (int slot = 0; slot < num_tasks(); ++slot) unpause_task(slot);
+void Node::unpause_task(int slot) {
+  TaskSlot& s = at(slot);
+  if (!s.paused_) return;
+  s.paused_ = false;
+  schedule_resume(s);
 }
 
-void Node::note_progress(int slot, std::uint64_t iters) {
-  auto s = static_cast<std::size_t>(slot);
-  progress_.at(s) = iters;
-  if (iters > max_progress_) max_progress_ = iters;
+void Node::unpause_all() {
+  for (int slot = 0; slot < num_tasks(); ++slot) unpause_task(slot);
 }
 
 pup::Checkpoint Node::pack_state(buf::Sink* digest_sink) {
   pup::Packer p(pack_builder_);
   p.tee(digest_sink);
-  std::uint32_t count = static_cast<std::uint32_t>(tasks_.size());
+  std::uint32_t count = static_cast<std::uint32_t>(slots_.size());
   p | count;
-  for (const auto& t : tasks_) t->pup(p);
+  for (const auto& slot : slots_) slot->task_->pup(p);
   return p.take();
 }
 
@@ -165,30 +180,24 @@ void Node::restore_state(const pup::Checkpoint& c) {
   pup::Unpacker u(c);
   std::uint32_t count = 0;
   u | count;
-  ACR_REQUIRE(count == tasks_.size(),
+  ACR_REQUIRE(count == slots_.size(),
               "checkpoint task count does not match node task set");
-  for (auto& t : tasks_) t->pup(u);
+  for (const auto& slot : slots_) slot->task_->pup(u);
   ACR_REQUIRE(u.exhausted(), "node checkpoint has trailing bytes");
   ++incarnation_;  // stale continuations must not fire into restored state
-  // Rebuild the progress ledger from the restored task states: the old
-  // values describe a future that was rolled back.
-  max_progress_ = 0;
-  for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
-    progress_[slot] = tasks_[slot]->progress();
-    if (progress_[slot] > max_progress_) max_progress_ = progress_[slot];
+  // The old progress and done flags describe a future that was rolled
+  // back: re-read progress from the restored tasks, and let each task
+  // re-issue notify_done from on_resume if it restored in a final state.
+  for (const auto& slot : slots_) {
+    slot->progress_ = slot->task_->progress();
+    slot->done_ = false;
   }
 }
 
 void Node::resume_all_tasks() {
-  std::uint64_t inc = incarnation_;
-  for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
-    paused_[slot] = false;
-    Task* t = tasks_[slot].get();
-    cluster_.engine().schedule_after(
-        0.0,
-        [this, t, inc]() {
-          if (alive_ && incarnation_ == inc) t->on_resume();
-        });
+  for (const auto& slot : slots_) {
+    slot->paused_ = false;
+    schedule_resume(*slot);
   }
 }
 
@@ -204,12 +213,12 @@ void Node::deliver(const Message& m) {
   }
   if (gated_) return;  // restart barrier: pre-resume app traffic is stale
   auto slot = static_cast<std::size_t>(m.dst.slot);
-  if (slot >= tasks_.size()) {
+  if (slot >= slots_.size()) {
     log_warn("rt") << "dropping message for missing slot " << m.dst.slot
                    << " on node " << node_index_;
     return;
   }
-  tasks_[slot]->on_message(m);
+  slots_[slot]->task_->on_message(m);
 }
 
 }  // namespace acr::rt

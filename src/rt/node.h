@@ -1,5 +1,6 @@
-// Virtual node: hosts tasks, a pause ledger, and the per-node ACR service
-// agent. Provides the checkpoint pack/restore entry points the agent uses.
+// Virtual node: hosts task slots (each a task, its context and its Fig. 3
+// bookkeeping) and the per-node ACR service agent. Provides the checkpoint
+// pack/restore entry points the agent uses.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,9 @@ class NodeService {
   /// A local task declared itself finished.
   virtual void on_task_done(int slot) = 0;
 };
+
+/// One record per task slot of a node (node.cpp).
+class TaskSlot;
 
 class Node {
  public:
@@ -63,27 +67,26 @@ class Node {
 
   // --- tasks ---------------------------------------------------------------
   /// (Re)create the task set from the cluster's task factory. Any previous
-  /// tasks are destroyed. Does not start them.
+  /// tasks are destroyed; every slot starts unpaused, not done, at
+  /// progress 0. Does not start them.
   void create_tasks();
-  int num_tasks() const { return static_cast<int>(tasks_.size()); }
-  Task& task(int slot) { return *tasks_.at(static_cast<std::size_t>(slot)); }
+  int num_tasks() const { return static_cast<int>(slots_.size()); }
+  Task& task(int slot);
 
   /// Fire on_start() for every task (via engine events at the current time).
   void start_tasks();
 
   // --- pause control (checkpoint consensus) ---------------------------------
-  bool task_paused(int slot) const {
-    return paused_.at(static_cast<std::size_t>(slot));
-  }
-  void pause_task(int slot) { paused_.at(static_cast<std::size_t>(slot)) = true; }
+  bool task_paused(int slot) const;
+  void pause_task(int slot);
   /// Clear the pause flag and schedule on_resume().
   void unpause_task(int slot);
   void unpause_all();
-  /// Highest progress reported by any local task so far.
-  std::uint64_t max_local_progress() const { return max_progress_; }
-  std::uint64_t task_progress(int slot) const {
-    return progress_.at(static_cast<std::size_t>(slot));
-  }
+  /// Last progress the task reported (or held when restored).
+  std::uint64_t task_progress(int slot) const;
+  /// The task has called notify_done() since the last create_tasks() or
+  /// restore_state().
+  bool task_done(int slot) const;
 
   // --- checkpointing -------------------------------------------------------
   /// Serialize every task into one stream (task count header + streams).
@@ -97,7 +100,9 @@ class Node {
     return pack_builder_.stats();
   }
   /// Restore every task from `c`. Bumps the incarnation so stale compute
-  /// continuations and timers die. Does NOT resume the tasks.
+  /// continuations and timers die, re-reads each slot's progress from its
+  /// task and clears its done flag (a restored task re-issues notify_done);
+  /// pause flags are left alone. Does NOT resume the tasks.
   void restore_state(const pup::Checkpoint& c);
   /// Schedule on_resume() for every task (post-restore restart).
   void resume_all_tasks();
@@ -112,9 +117,13 @@ class Node {
   const Cluster& cluster() const { return cluster_; }
 
  private:
-  friend class NodeTaskContext;
+  friend class TaskSlot;
 
-  void note_progress(int slot, std::uint64_t iters);
+  TaskSlot& at(int slot) const {
+    return *slots_.at(static_cast<std::size_t>(slot));
+  }
+  /// Schedule on_resume() for `slot`'s task in the current incarnation.
+  void schedule_resume(TaskSlot& slot);
 
   Cluster& cluster_;
   int physical_id_;
@@ -124,11 +133,9 @@ class Node {
   bool gated_ = false;
   std::uint64_t incarnation_ = 0;
 
-  std::vector<std::unique_ptr<Task>> tasks_;
-  std::vector<std::unique_ptr<TaskContext>> contexts_;
-  std::vector<bool> paused_;
-  std::vector<std::uint64_t> progress_;
-  std::uint64_t max_progress_ = 0;
+  /// Each task with its context, pause flag, progress and done flag. On the
+  /// heap, one per slot: task->ctx points at the record.
+  std::vector<std::unique_ptr<TaskSlot>> slots_;
   std::unique_ptr<NodeService> service_;
   /// Checkpoint pack arena, reused across epochs (see pack_state).
   buf::BufferBuilder pack_builder_;

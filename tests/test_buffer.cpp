@@ -197,17 +197,6 @@ TEST(BufferBuilder, SharedArenaModePacksBuildsBackToBack) {
   EXPECT_EQ(std::memcmp(four.data(), big.data(), big.size()), 0);
 }
 
-TEST(TeeSink, ForwardsToBothSinks) {
-  buf::BufferBuilder a, b;
-  buf::TeeSink tee(a, b);
-  auto payload = pattern_bytes(48);
-  tee.write(payload);
-  buf::Buffer ba = a.take(), bbuf = b.take();
-  ASSERT_EQ(ba.size(), payload.size());
-  ASSERT_EQ(bbuf.size(), payload.size());
-  EXPECT_EQ(std::memcmp(ba.data(), bbuf.data(), payload.size()), 0);
-}
-
 TEST(ChecksumSink, StreamingFletcherMatchesOneShotForAnyGranularity) {
   auto payload = pattern_bytes(1031);  // deliberately not a multiple of 4
   std::uint64_t expect = checksum::fletcher64(payload);

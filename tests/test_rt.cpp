@@ -153,7 +153,58 @@ TEST(Node, PackRestoreRoundTripsTaskState) {
   EXPECT_GT(node.incarnation(), inc_before);
   EXPECT_EQ(f.task(0, 0, 0).iter_, 5u);
   EXPECT_EQ(node.task_progress(0), 5u);
-  EXPECT_EQ(node.max_local_progress(), 5u);
+}
+
+/// Service stub that records what the node's slot says when the agent
+/// hears of a finished task.
+class DoneProbe final : public NodeService {
+ public:
+  explicit DoneProbe(Node& node) : node_(node) {}
+  void on_service_message(const Message&) override {}
+  ProgressDecision on_progress(int, std::uint64_t) override {
+    return ProgressDecision::Continue;
+  }
+  void on_task_done(int slot) override {
+    seen.push_back(node_.task_done(slot));
+  }
+  std::vector<bool> seen;
+
+ private:
+  Node& node_;
+};
+
+TEST(Node, SlotDoneFlagFollowsNotifyCreateAndRestore) {
+  Fixture f;
+  Node& node = f.cluster->node_at(0, 0);
+  auto probe = std::make_unique<DoneProbe>(node);
+  DoneProbe& seen = *probe;
+  node.set_service(std::move(probe));
+  pup::Checkpoint c = node.pack_state();
+
+  // notify_done marks its own slot, before the service hears of it.
+  f.task(0, 0, 0).ctx->notify_done();
+  EXPECT_TRUE(node.task_done(0));
+  EXPECT_FALSE(node.task_done(1));
+  EXPECT_EQ(seen.seen, (std::vector<bool>{true}));
+
+  // restore_state clears done and re-reads progress; pauses stay.
+  f.task(0, 0, 1).advance(3);
+  node.pause_task(0);
+  node.restore_state(c);
+  EXPECT_FALSE(node.task_done(0));
+  EXPECT_TRUE(node.task_paused(0));
+  EXPECT_FALSE(node.task_paused(1));
+  EXPECT_EQ(node.task_progress(1), 0u);
+
+  // create_tasks starts every slot afresh.
+  f.task(0, 0, 1).advance(4);
+  f.task(0, 0, 1).ctx->notify_done();
+  node.create_tasks();
+  for (int s = 0; s < node.num_tasks(); ++s) {
+    EXPECT_FALSE(node.task_done(s));
+    EXPECT_FALSE(node.task_paused(s));
+    EXPECT_EQ(node.task_progress(s), 0u);
+  }
 }
 
 TEST(Node, BuddyNodesPackIdenticalState) {
